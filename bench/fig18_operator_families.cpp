@@ -87,7 +87,7 @@ bool probe_arm(Engine& engine, const SolveSession& session,
       } else {
         // Stalled or lost ground (a badly mistuned shape on a non-normal
         // operator can *grow* the error): escalate instead of retrying a
-        // rung that just failed, DynamicSolver-style.
+        // rung that just failed, as SolveSession::solve_adaptive does.
         rung = std::min(rung + 1, top_rung);
       }
     }

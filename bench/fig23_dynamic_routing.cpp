@@ -13,7 +13,7 @@
 // generation *extension* while serving continues, and post-install the
 // same operators reroute onto the fresh family.  Reported per phase:
 // route outcomes (matched / escalated / retune), escalations, and the
-// routed latency against an *oracle* — a DynamicSolver bound directly to
+// routed latency against an *oracle* — a SolveSession bound directly to
 // the retuned jump tables — at equal achieved accuracy, plus the
 // bit-stability of the in-family route across the install.
 
@@ -32,7 +32,6 @@
 #include "grid/problem.h"
 #include "support/rng.h"
 #include "tune/config_cache.h"
-#include "tune/dynamic.h"
 #include "tune/trainer.h"
 
 namespace {
@@ -191,21 +190,19 @@ int main_impl(int argc, const char* const* argv) {
     }
   }
 
-  // Oracle arm: a DynamicSolver bound directly to the retuned jump
+  // Oracle arm: a SolveSession bound directly to the retuned jump
   // tables — what a clairvoyant dispatcher would have used from request
   // one.  Equal accuracy bar, same instance, untimed residual audits.
   const tune::TunedConfig jump_config = tune::load_or_train(
       family_options(OperatorFamily::kJumpCoefficient), engine,
       cache_dir.empty() ? tune::default_cache_dir() : cache_dir);
-  const tune::DynamicSolver oracle(
-      jump_config, make_operator(n, OperatorFamily::kJumpCoefficient),
-      engine.scheduler(), engine.direct(), engine.scratch(),
-      engine.relax());
+  const SolveSession oracle(
+      engine, jump_config, make_operator(n, OperatorFamily::kJumpCoefficient));
   std::vector<double> oracle_seconds;
   for (int i = 0; i < per_arm; ++i) {
     Grid2D x(n, 0.0);
     x.copy_from(problem.x0);
-    const auto result = oracle.solve(x, problem.b, kTarget);
+    const auto result = oracle.solve_adaptive(x, problem.b, kTarget);
     oracle_seconds.push_back(result.seconds);
   }
 

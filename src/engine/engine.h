@@ -23,9 +23,9 @@
 ///   Engine        owns one rt::Scheduler (built from a MachineProfile),
 ///                 one grid::ScratchPool, one solvers::DirectSolver, the
 ///                 relaxation tunables, and a tuned-config cache handle.
-///   SolveSession  binds an Engine + TunedConfig + grid size n and serves
-///                 tuned/reference solves with per-request SolveStats
-///                 (engine/solve_session.h).
+///   SolveSession  binds an Engine + an operator + a ladder of tuned
+///                 configs and serves tuned, adaptive and reference
+///                 solves with per-request stats (engine/solve_session.h).
 ///   SolveService  multiplexes concurrent solve requests from many client
 ///                 threads onto one Engine (engine/solve_service.h).
 ///

@@ -6,8 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "grid/fingerprint.h"
 #include "grid/level.h"
-#include "grid/problem.h"
 #include "support/error.h"
 #include "support/timer.h"
 
@@ -47,7 +47,8 @@ SolveService::SolveService(Engine& engine, tune::TunedConfig config,
           metrics_.histogram("pbmg_route_fingerprint_distance")) {
   current_ = std::make_shared<Generation>();
   current_->engine = &engine_;
-  current_->config = std::move(config);
+  current_->config =
+      std::make_shared<const tune::TunedConfig>(std::move(config));
   generation_gauge_.set(1.0);
 }
 
@@ -66,13 +67,23 @@ void SolveService::install(tune::TunedConfig config,
                            obs::LatencyBaseline baseline,
                            std::shared_ptr<Engine> engine) {
   auto fresh = std::make_shared<Generation>();
-  fresh->config = std::move(config);
+  fresh->config = std::make_shared<const tune::TunedConfig>(std::move(config));
   std::int64_t id = 0;
   std::vector<std::shared_ptr<Generation>> reclaimed;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     id = current_->id + 1;
     fresh->id = id;
+    {
+      // Carry the family extensions over: the exactly-once family retune
+      // guard would never retrain a family this install dropped.  Fresh
+      // tables for the config's own family supersede an older extension.
+      // install_family writes under mutex_ too, so none can land on the
+      // retiring generation after this copy.
+      std::lock_guard<std::mutex> gen_lock(current_->mutex);
+      fresh->family_configs = current_->family_configs;
+    }
+    fresh->family_configs.erase(fresh->config->op_family);
     // A config-only install inherits the live engine as a CO-OWNING
     // shared_ptr (when the retiring generation owned one), never a raw
     // pointer into the retired generation — reclaiming that generation
@@ -105,12 +116,7 @@ void SolveService::reclaim_retired_locked(
   auto it = retired_.begin();
   while (it != retired_.end()) {
     if (it->use_count() == 1) {
-      const std::size_t bytes = (*it)->resident_bytes;
-      if (bytes > 0) {
-        session_bytes_gauge_.set(static_cast<double>(
-            session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) -
-            bytes));
-      }
+      release_bytes((*it)->resident_bytes);
       out.push_back(std::move(*it));
       it = retired_.erase(it);
     } else {
@@ -141,16 +147,48 @@ obs::Histogram& SolveService::latency_histogram(int n, int accuracy_index) {
   return hist;
 }
 
+void SolveService::charge_bytes(std::size_t bytes) {
+  if (bytes == 0) return;
+  session_bytes_gauge_.set(static_cast<double>(
+      session_bytes_.fetch_add(bytes, std::memory_order_acq_rel) + bytes));
+}
+
+void SolveService::release_bytes(std::size_t bytes) {
+  if (bytes == 0) return;
+  session_bytes_gauge_.set(static_cast<double>(
+      session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) - bytes));
+}
+
+SolveService::Pinned SolveService::find_locked(
+    const std::shared_ptr<Generation>& gen, const SlotKey& key) {
+  auto it = gen->slots.find(key);
+  if (it == gen->slots.end()) return {};
+  it->second.last_used = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  return {SessionRef(it->second.session, gen), it->second.route};
+}
+
+SolveService::Pinned SolveService::publish_locked(
+    const std::shared_ptr<Generation>& gen, const SlotKey& key, Slot fresh) {
+  auto [it, inserted] = gen->slots.emplace(key, Slot{});
+  if (inserted) {
+    it->second = std::move(fresh);
+    gen->resident_bytes += it->second.bytes;
+    charge_bytes(it->second.bytes);
+  }
+  it->second.last_used = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Pin before enforcing, so the slot we are about to hand out is never
+  // its own eviction victim (use_count > 1 excludes it).
+  Pinned pinned{SessionRef(it->second.session, gen), it->second.route};
+  if (inserted) enforce_policy_locked(*gen);
+  return pinned;
+}
+
 SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
                                     int n) {
+  const SlotKey key{0, n, false};
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
-    auto it = gen->sessions.find(n);
-    if (it != gen->sessions.end()) {
-      it->second.last_used =
-          lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-      return SessionRef(it->second.session, gen);
-    }
+    if (Pinned hit = find_locked(gen, key); hit.session) return hit.session;
   }
   // Construct outside the lock: prewarming a large level hierarchy
   // allocates and zero-fills megabytes, and must not stall unrelated
@@ -161,36 +199,19 @@ SessionRef SolveService::session_in(const std::shared_ptr<Generation>& gen,
   // non-Poisson tables solves the operator it was tuned for (the Poisson
   // family takes StencilOp's constant-coefficient fast path, bit-for-bit
   // the historical behaviour).
-  auto fresh = std::make_shared<SolveSession>(
-      *gen->engine, gen->config,
-      make_operator(n, parse_operator_family(gen->config.op_family)));
-  const std::size_t bytes = fresh->footprint_bytes();
-  SessionRef ref;
-  {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    auto [it, inserted] = gen->sessions.emplace(n, SessionSlot{});
-    if (inserted) {
-      it->second.session = std::move(fresh);
-      it->second.bytes = bytes;
-      gen->resident_bytes += bytes;
-      session_bytes_gauge_.set(static_cast<double>(
-          session_bytes_.fetch_add(bytes, std::memory_order_acq_rel) +
-          bytes));
-    }
-    it->second.last_used =
-        lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Pin before enforcing, so the slot we are about to hand out is
-    // never its own eviction victim (use_count > 1 excludes it).
-    ref = SessionRef(it->second.session, gen);
-    if (inserted) enforce_policy_locked(*gen);
-  }
-  return ref;
+  const std::string& family = gen->config->op_family;
+  Slot fresh;
+  fresh.session = std::make_shared<SolveSession>(
+      *gen->engine, make_operator(n, parse_operator_family(family)),
+      std::vector<tune::FamilyConfig>{{family, gen->config}});
+  fresh.bytes = fresh.session->footprint_bytes();
+  std::lock_guard<std::mutex> lock(gen->mutex);
+  return publish_locked(gen, key, std::move(fresh)).session;
 }
 
 void SolveService::enforce_policy_locked(Generation& gen) {
   const auto over = [&] {
-    if (policy_.max_sessions > 0 &&
-        gen.sessions.size() > policy_.max_sessions) {
+    if (policy_.max_sessions > 0 && gen.slots.size() > policy_.max_sessions) {
       return true;
     }
     return policy_.max_session_bytes > 0 &&
@@ -199,25 +220,24 @@ void SolveService::enforce_policy_locked(Generation& gen) {
   };
   while (over()) {
     // LRU among this generation's UNPINNED slots (use_count 1: only the
-    // cache itself holds the session — no SessionRef, no in-flight
-    // batch).  Pinned sessions are untouchable no matter how stale, so
-    // a workload that pins everything can exceed the budget; it drains
-    // back under it as pins drop and later binds re-enforce.
-    auto victim = gen.sessions.end();
-    for (auto it = gen.sessions.begin(); it != gen.sessions.end(); ++it) {
+    // cache itself holds the session — no SessionRef, no in-flight solve
+    // or batch, routed or not).  Pinned sessions are untouchable no
+    // matter how stale, so a workload that pins everything can exceed the
+    // budget; it drains back under it as pins drop and later binds
+    // re-enforce.
+    auto victim = gen.slots.end();
+    for (auto it = gen.slots.begin(); it != gen.slots.end(); ++it) {
       if (it->second.session.use_count() != 1) continue;
-      if (victim == gen.sessions.end() ||
+      if (victim == gen.slots.end() ||
           it->second.last_used < victim->second.last_used) {
         victim = it;
       }
     }
-    if (victim == gen.sessions.end()) return;  // everything pinned
+    if (victim == gen.slots.end()) return;  // everything pinned
     const std::size_t bytes = victim->second.bytes;
     gen.resident_bytes -= bytes;
-    gen.sessions.erase(victim);
-    session_bytes_gauge_.set(static_cast<double>(
-        session_bytes_.fetch_sub(bytes, std::memory_order_acq_rel) -
-        bytes));
+    gen.slots.erase(victim);
+    release_bytes(bytes);
     session_evictions_.add(1);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -229,12 +249,12 @@ SessionRef SolveService::session(int n) {
 
 void SolveService::validate_request(const Generation& gen,
                                     const SolveRequest& request) const {
-  if (request.accuracy_index >= gen.config.accuracy_count()) {
+  if (request.accuracy_index >= gen.config->accuracy_count()) {
     throw ConfigError(
         "SolveService: accuracy_index " +
         std::to_string(request.accuracy_index) +
         " is outside the tuned ladder [0, " +
-        std::to_string(gen.config.accuracy_count()) + ")");
+        std::to_string(gen.config->accuracy_count()) + ")");
   }
   if (request.accuracy_index < 0 && request.target_accuracy <= 0.0) {
     throw ConfigError(
@@ -444,62 +464,58 @@ obs::Counter& SolveService::route_counter(const std::string& family,
 void SolveService::install_family(tune::TunedConfig config) {
   const std::string name = config.op_family;
   auto fresh = std::make_shared<const tune::TunedConfig>(std::move(config));
-  const std::shared_ptr<Generation> gen = current_generation();
-  std::vector<std::shared_ptr<const OpBinding>> dropped;
+  std::vector<Slot> dropped;
   {
-    std::lock_guard<std::mutex> lock(gen->mutex);
-    gen->family_configs[name] = std::move(fresh);
-    // Drop the bindings this install supersedes: operators whose nearest
-    // family is the one just trained but which were being served by a
-    // stand-in.  Their next request re-routes onto the new tables; every
-    // other binding — and every in-flight solve, which holds its own
-    // shared_ptr — is untouched.
-    auto it = gen->bindings.begin();
-    while (it != gen->bindings.end()) {
-      if (it->second->nearest_family == name &&
-          it->second->served_family != name) {
+    // mutex_ first (the documented order): an install() cannot retire the
+    // generation between this extension and install's carry-over copy.
+    std::lock_guard<std::mutex> outer(mutex_);
+    Generation& gen = *current_;
+    std::lock_guard<std::mutex> lock(gen.mutex);
+    gen.family_configs[name] = std::move(fresh);
+    // Drop the routed sessions this install supersedes: operators whose
+    // nearest family is the one just trained but which were being served
+    // by a stand-in.  Their next request re-routes onto the new tables;
+    // every other slot — and every in-flight solve, which holds its own
+    // pin — is untouched.
+    auto it = gen.slots.begin();
+    while (it != gen.slots.end()) {
+      const Route* route = it->second.route.get();
+      if (route != nullptr && to_string(route->nearest) == name &&
+          route->served_family != name) {
+        gen.resident_bytes -= it->second.bytes;
+        release_bytes(it->second.bytes);
         dropped.push_back(std::move(it->second));
-        it = gen->bindings.erase(it);
+        it = gen.slots.erase(it);
       } else {
         ++it;
       }
     }
   }
-  // `dropped` destructs here, outside the lock: each binding tears down a
-  // DynamicSolver's coefficient hierarchies and executors.
+  // `dropped` destructs here, outside the locks: each slot tears down a
+  // session's coefficient hierarchies and executors.
 }
 
-std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
+SolveService::Pinned SolveService::route_for(
     const std::shared_ptr<Generation>& gen, const grid::StencilOp& op) {
-  const std::pair<const void*, int> key{op.identity(), op.n()};
+  const SlotKey key{reinterpret_cast<std::uintptr_t>(op.identity()), op.n(),
+                    true};
   for (;;) {
     std::map<std::string, std::shared_ptr<const tune::TunedConfig>> table;
     {
       std::lock_guard<std::mutex> lock(gen->mutex);
-      auto it = gen->bindings.find(key);
-      if (it != gen->bindings.end()) return it->second;
+      if (Pinned hit = find_locked(gen, key); hit.session) return hit;
       table = gen->family_configs;
     }
-    // Fingerprint + solver construction run outside the generation lock:
+    // Fingerprint + session construction run outside the generation lock:
     // the fingerprint sweep is O(n²) and the bind coarsens/prewarms a
     // full hierarchy, neither of which may stall in-flight requests.
-    auto binding = std::make_shared<OpBinding>();
-    binding->op = op;  // pins identity() against allocator reuse
-    binding->fp = grid::fingerprint(op);
+    auto route = std::make_shared<Route>();
     const std::vector<grid::FamilyMatch> ranked =
-        grid::rank_families(binding->fp);
-    binding->nearest = ranked.front().family;
-    binding->nearest_family = to_string(ranked.front().family);
-    binding->nearest_distance = ranked.front().distance;
+        grid::rank_families(grid::fingerprint(op));
+    route->nearest = ranked.front().family;
     // The construction config serves as the fallback tables for its own
-    // family unless an install_family extension superseded it.  Reading
-    // gen->config without the lock is safe: it is immutable for the
-    // generation's lifetime.
-    const std::string primary_family = gen->config.op_family;
-    if (table.find(primary_family) == table.end()) {
-      table[primary_family] =
-          std::shared_ptr<const tune::TunedConfig>(gen, &gen->config);
-    }
+    // family unless an install_family extension superseded it.
+    table.emplace(gen->config->op_family, gen->config);
     // Escalation ladder: every family with tables deep enough for this
     // operator, nearest first.  The served family is the first rung.
     const int level = level_of_size(op.n());
@@ -509,8 +525,8 @@ std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
       auto it = table.find(name);
       if (it == table.end() || it->second->max_level() < level) continue;
       if (ladder.empty()) {
-        binding->served_family = name;
-        binding->served_distance = match.distance;
+        route->served_family = name;
+        route->served_distance = match.distance;
       }
       ladder.push_back({name, it->second});
     }
@@ -520,29 +536,24 @@ std::shared_ptr<const SolveService::OpBinding> SolveService::binding_for(
           std::to_string(level) + " (n=" + std::to_string(op.n()) +
           ") — train deeper tables before routing this size");
     }
-    binding->matched =
-        binding->served_distance <= route_policy_.match_threshold;
-    binding->served_config = ladder.front().config;
-    binding->solver = std::make_shared<const tune::DynamicSolver>(
-        op, std::move(ladder), gen->engine->scheduler(),
-        gen->engine->direct(), gen->engine->scratch(),
-        gen->engine->relax());
-    {
-      std::lock_guard<std::mutex> lock(gen->mutex);
-      // install_family may have landed while this binding was building;
-      // if the freshly installed tables are exactly the ones this binding
-      // settled for a stand-in over, rebuild against the new map rather
-      // than caching a decision the install just invalidated.
-      if (binding->served_family != binding->nearest_family &&
-          gen->family_configs.count(binding->nearest_family) != 0 &&
-          table.count(binding->nearest_family) == 0) {
-        continue;
-      }
-      auto [it, inserted] = gen->bindings.emplace(key, std::move(binding));
-      // An emplace race keeps the winner; the loser's solver (and its
-      // prewarmed grids, already returned to the shared pool) is dropped.
-      return it->second;
+    route->matched = route->served_distance <= route_policy_.match_threshold;
+    Slot fresh;
+    fresh.session =
+        std::make_shared<SolveSession>(*gen->engine, op, std::move(ladder));
+    fresh.bytes = fresh.session->footprint_bytes();
+    fresh.route = std::move(route);
+    std::lock_guard<std::mutex> lock(gen->mutex);
+    // install_family may have landed while this session was building; if
+    // the freshly installed tables are exactly the ones this bind settled
+    // for a stand-in over, rebuild against the new map rather than
+    // caching a decision the install just invalidated.
+    const std::string nearest = to_string(fresh.route->nearest);
+    if (fresh.route->served_family != nearest &&
+        gen->family_configs.count(nearest) != 0 &&
+        table.count(nearest) == 0) {
+      continue;
     }
+    return publish_locked(gen, key, std::move(fresh));
   }
 }
 
@@ -599,7 +610,7 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
                                   const SolveRequest& request,
                                   tune::DynamicResult* detail) {
   SolveStats stats;
-  std::shared_ptr<const OpBinding> binding;
+  Pinned bound;
   tune::DynamicResult result;
   bool retune_fired = false;
   const std::shared_ptr<Generation> gen = current_generation();
@@ -610,30 +621,30 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
           "SolveService: solve_op drives tuned V variants; FMG requests "
           "must go through solve() on a trained family");
     }
-    binding = binding_for(gen, op);
-    if (!binding->matched) {
+    bound = route_for(gen, op);
+    const Route& route = *bound.route;
+    if (!route.matched) {
       // Outside every tuned family's threshold: serve from the nearest
       // stand-in, and train the real family in the background — once.
-      // (When the nearest family already has tables, the binding is
-      // served by them and there is nothing better to train.)
-      if (binding->served_family != binding->nearest_family) {
-        retune_fired = start_family_retune(binding->nearest);
+      // (When the nearest family already has tables, the slot is served
+      // by them and there is nothing better to train.)
+      if (route.served_family != to_string(route.nearest)) {
+        retune_fired = start_family_retune(route.nearest);
       }
     }
+    const tune::TunedConfig& served = bound.session->config();
     double target = request.target_accuracy;
     if (request.accuracy_index >= 0) {
-      if (request.accuracy_index >=
-          binding->served_config->accuracy_count()) {
+      if (request.accuracy_index >= served.accuracy_count()) {
         throw ConfigError(
             "SolveService: accuracy_index " +
             std::to_string(request.accuracy_index) +
-            " is outside family '" + binding->served_family +
-            "' tuned ladder [0, " +
-            std::to_string(binding->served_config->accuracy_count()) + ")");
+            " is outside family '" + route.served_family +
+            "' tuned ladder [0, " + std::to_string(served.accuracy_count()) +
+            ")");
       }
-      target = binding->served_config
-                   ->accuracies()[static_cast<std::size_t>(
-                       request.accuracy_index)];
+      target =
+          served.accuracies()[static_cast<std::size_t>(request.accuracy_index)];
     } else if (request.target_accuracy <= 0.0) {
       throw ConfigError(
           "SolveService: request selects no accuracy — set accuracy_index "
@@ -641,12 +652,11 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
           "accuracy level (the default-constructed request is deliberately "
           "invalid)");
     }
-    result = binding->solver->solve(x, b, target,
-                                    route_policy_.max_iterations,
-                                    request.profile.get());
+    result = bound.session->solve_adaptive(
+        x, b, target, route_policy_.max_iterations, request.profile);
     stats.seconds = result.seconds;
-    stats.n = binding->solver->n();
-    stats.level = binding->solver->level();
+    stats.n = bound.session->n();
+    stats.level = bound.session->level();
     stats.accuracy_index = result.final_accuracy_index;
     stats.iterations = result.iterations;
     stats.converged = result.converged;
@@ -667,12 +677,13 @@ SolveStats SolveService::solve_op(const grid::StencilOp& op, Grid2D& x,
   // family retune is the interesting event even if it also escalated;
   // an escalated request (cross-family switch mid-solve, or served
   // outside the threshold) beats a plain match.
+  const Route& route = *bound.route;
   const char* outcome = retune_fired ? "retune"
-                        : (result.family_switches > 0 || !binding->matched)
+                        : (result.family_switches > 0 || !route.matched)
                             ? "escalated"
                             : "matched";
-  route_counter(binding->served_family, outcome).add(1);
-  route_distance_.record(binding->served_distance);
+  route_counter(route.served_family, outcome).add(1);
+  route_distance_.record(route.served_distance);
   if (result.escalations > 0) route_escalations_.add(result.escalations);
   if (result.family_switches > 0) {
     route_switches_.add(result.family_switches);
@@ -707,7 +718,7 @@ ServiceStats SolveService::stats() const {
   }
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
-    out.sessions = gen->sessions.size();
+    out.sessions = gen->slots.size();
   }
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.session_bytes = session_bytes_.load(std::memory_order_acquire);
@@ -754,9 +765,10 @@ std::size_t SolveService::trim() {
 Engine& SolveService::engine() const { return *current_generation()->engine; }
 
 const tune::TunedConfig& SolveService::config() const {
-  // Safe to return by reference: generations are retained (retired_) for
-  // the service's lifetime, so the referent outlives every caller.
-  return current_generation()->config;
+  // The referent lives as long as the generation (and every session bound
+  // to it): valid until an install() retires that generation and its last
+  // pin drops, after which trim() or a later install may reclaim it.
+  return *current_generation()->config;
 }
 
 obs::RegistrySnapshot SolveService::metrics_snapshot() {
@@ -769,7 +781,7 @@ obs::RegistrySnapshot SolveService::metrics_snapshot() {
   {
     std::lock_guard<std::mutex> lock(gen->mutex);
     metrics_.gauge("pbmg_service_sessions")
-        .set(static_cast<double>(gen->sessions.size()));
+        .set(static_cast<double>(gen->slots.size()));
   }
   return metrics_.snapshot();
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "engine/solve_session.h"
-#include "grid/fingerprint.h"
+#include "grid/problem.h"
 #include "obs/drift.h"
 #include "obs/metrics.h"
 #include "tune/dynamic.h"
@@ -25,6 +26,10 @@
 /// Many client threads call solve() concurrently; the service binds each
 /// grid size to a cached SolveSession (created once, reused by every
 /// later request of that size) and runs the solve on the caller's thread.
+/// solve() and solve_op() share one session cache: solve() keys on the
+/// grid size and serves the config's own family on its fixed plan;
+/// solve_op() keys on (operator identity × size) and serves a session
+/// bound to a cross-family escalation ladder.
 /// The work-stealing scheduler composes nested parallelism, so requests
 /// submitted from different client threads interleave on one worker pool
 /// instead of fighting over oversubscribed thread pools — this is what
@@ -54,9 +59,10 @@
 ///
 /// Operator routing (solve_op): arbitrary-coefficient requests are
 /// fingerprinted (grid/fingerprint.h), routed to the nearest tuned
-/// family, and served by a cached per-operator DynamicSolver with
-/// cross-family escalation (tune/dynamic.h).  Fingerprints outside every
-/// tuned family's match threshold fire a once-per-family background
+/// family, and served by a cached per-operator SolveSession whose
+/// solve_adaptive escalates across families (tune/dynamic.h).
+/// Fingerprints outside every tuned family's match threshold fire a
+/// once-per-family background
 /// retune whose tables install as a generation *extension*
 /// (install_family) — the generation id and in-flight solves are
 /// untouched.  Route outcomes export as
@@ -66,8 +72,9 @@
 /// Fleet-scale memory: sessions are the expensive resident state (packed
 /// coefficient streams, RAP ladders, prewarmed scratch), so the session
 /// cache is byte-budgeted.  ServicePolicy caps resident session bytes
-/// and/or session count; binding a size past the budget evicts the
-/// least-recently-used *unpinned* sessions
+/// and/or session count — solve() sizes and routed operators alike;
+/// binding past the budget evicts the least-recently-used *unpinned*
+/// sessions
 /// (`pbmg_session_evictions_total`), and session() hands out a pinning
 /// SessionRef so a session in use is never destroyed under its caller.
 /// The same pin keeps the whole generation alive: a retired generation is
@@ -111,9 +118,10 @@ struct RoutePolicy {
 
 /// Admission/eviction budget for the session cache.  Zero means
 /// unlimited (the historical behaviour).  The byte budget counts
-/// SolveSession::footprint_bytes across every retained generation; a bind
-/// that would exceed it evicts LRU-first among the live generation's
-/// unpinned sessions.  A single session larger than the budget is still
+/// SolveSession::footprint_bytes across every retained generation, for
+/// solve() sizes and solve_op() routed operators alike; a bind that would
+/// exceed it evicts LRU-first among the live generation's unpinned
+/// sessions.  A single session larger than the budget is still
 /// admitted (the service must be able to serve it) — the budget then
 /// empties everything else.
 struct ServicePolicy {
@@ -127,7 +135,8 @@ struct ServiceStats {
   std::int64_t requests = 0;     ///< solves completed (batch counts each RHS)
   std::int64_t failures = 0;     ///< solves that threw
   double busy_seconds = 0.0;     ///< sum of per-request solve seconds
-  std::size_t sessions = 0;      ///< grid sizes bound in the live generation
+  std::size_t sessions = 0;      ///< sessions cached in the live generation
+                                 ///< (solve() sizes + routed operators)
   std::int64_t evictions = 0;    ///< sessions evicted by the cache budget
   std::size_t session_bytes = 0;  ///< resident session bytes, all generations
   std::size_t retired_generations = 0;  ///< retired gens still pinned alive
@@ -207,7 +216,10 @@ class SolveService {
   /// config (and engine, when non-null — otherwise the live generation's
   /// engine is inherited), in-flight solves finish where they started,
   /// and the drift watcher — if armed — is rebased onto `baseline`.
-  /// Thread-safe; called by the background retune and usable directly.
+  /// The live generation's install_family extensions carry over (except
+  /// one for `config`'s own family, which the fresh tables replace), so a
+  /// drift install never drops a trained family.  Thread-safe; called by
+  /// the background retune and usable directly.
   void install(tune::TunedConfig config, obs::LatencyBaseline baseline = {},
                std::shared_ptr<Engine> engine = nullptr);
 
@@ -237,17 +249,19 @@ class SolveService {
   /// fingerprint routes to that family serve from these tables.  Unlike
   /// install(), this is a generation *extension* — the generation id,
   /// its engine, its sessions, and every in-flight solve are untouched;
-  /// only routed bindings that were standing in for this family are
+  /// only routed sessions that were standing in for this family are
   /// dropped so their next request re-routes.  Thread-safe; called by
   /// the background family retune and usable directly.
   void install_family(tune::TunedConfig config);
 
   /// Serves one arbitrary-operator request: fingerprints `op` (cached
-  /// per operator identity × size), routes to the nearest tuned family
-  /// within the match threshold (escalating across families when the
-  /// input underperforms, tune/dynamic.h), and solves on the calling
-  /// thread.  A fingerprint outside every tuned family's threshold is
-  /// still served (nearest family) and — once per family — fires the
+  /// per operator identity × size, in the same budgeted cache as solve()'s
+  /// sessions), routes to the nearest tuned family within the match
+  /// threshold, and solves on the calling thread with
+  /// SolveSession::solve_adaptive (escalating across families when the
+  /// input underperforms).  A fingerprint outside every tuned family's
+  /// threshold is still served (nearest family) and — once per family —
+  /// fires the
   /// background retune armed by enable_operator_routing, whose result
   /// installs via install_family.  `request.accuracy_index` selects the
   /// target reduction from the served family's ladder (target_accuracy
@@ -330,29 +344,41 @@ class SolveService {
   const tune::TunedConfig& config() const;
 
  private:
-  /// One cache entry: the session plus its eviction bookkeeping.
-  struct SessionSlot {
-    std::shared_ptr<SolveSession> session;
-    std::size_t bytes = 0;        ///< footprint_bytes() at bind time
-    std::uint64_t last_used = 0;  ///< global LRU tick of the last bind
+  /// Cache key.  solve()'s own-family session for side n is {0, n,
+  /// false}; a routed operator is {identity, n, true}.  The flag keeps the
+  /// two apart even for Poisson, whose StencilOp identity is null.
+  struct SlotKey {
+    std::uintptr_t op = 0;  ///< StencilOp::identity() of a routed operator
+    int n = 0;
+    bool routed = false;
+    auto operator<=>(const SlotKey&) const = default;
   };
 
-  /// One cached routing decision: an operator's fingerprint, the family
-  /// it routed to, and the bound DynamicSolver (prewarmed hierarchies +
-  /// executors).  Immutable once published; the StencilOp copy keeps the
-  /// coefficient storage — and with it the identity() cache key — alive
-  /// for the binding's lifetime.
-  struct OpBinding {
-    grid::StencilOp op;
-    grid::OperatorFingerprint fp;
-    std::string nearest_family;      ///< overall-nearest canonical family
-    OperatorFamily nearest = OperatorFamily::kPoisson;
-    double nearest_distance = 0.0;
-    std::string served_family;       ///< nearest family WITH tuned tables
+  /// Routing decision of a solve_op slot: the overall-nearest family and
+  /// the nearest family with tuned tables, which serves as rung 0.
+  /// Immutable once published.
+  struct Route {
+    OperatorFamily nearest = OperatorFamily::kPoisson;  ///< overall-nearest
+    std::string served_family;   ///< nearest family WITH tuned tables
     double served_distance = 0.0;
     bool matched = false;  ///< served_distance within the match threshold
-    std::shared_ptr<const tune::DynamicSolver> solver;
-    std::shared_ptr<const tune::TunedConfig> served_config;
+  };
+
+  /// One cache entry: the session, its routing metadata and its eviction
+  /// bookkeeping.  A routed session holds a copy of the user's StencilOp,
+  /// which keeps the identity() in its key from being reused by a later
+  /// allocation for as long as the slot lives.
+  struct Slot {
+    std::shared_ptr<SolveSession> session;
+    std::shared_ptr<const Route> route;  ///< null for solve()'s sessions
+    std::size_t bytes = 0;        ///< footprint_bytes() at bind time
+    std::uint64_t last_used = 0;  ///< global LRU tick of the last use
+  };
+
+  /// A pinned slot as handed to one request.
+  struct Pinned {
+    SessionRef session;
+    std::shared_ptr<const Route> route;
   };
 
   /// One immutable (config, engine, sessions) unit.  `owned` is null
@@ -366,26 +392,37 @@ class SolveService {
     std::int64_t id = 1;
     std::shared_ptr<Engine> owned;
     Engine* engine = nullptr;
-    tune::TunedConfig config;
-    std::mutex mutex;  // guards sessions + resident_bytes + the two maps
-                       // below (family_configs, bindings)
-    std::map<int, SessionSlot> sessions;
+    std::shared_ptr<const tune::TunedConfig> config;
+    std::mutex mutex;  // guards slots, resident_bytes, family_configs
+    std::map<SlotKey, Slot> slots;
     std::size_t resident_bytes = 0;  ///< sum of slot bytes in this gen
-    /// Generation extensions: per-family tuned tables installed after
-    /// this generation went live (install_family).  The construction
-    /// config stays the fallback for its own op_family.
+    /// Generation extensions: per-family tuned tables installed by
+    /// install_family (carried into later generations by install).  The
+    /// construction config stays the fallback for its own op_family.
     std::map<std::string, std::shared_ptr<const tune::TunedConfig>>
         family_configs;
-    /// Routed-operator cache keyed by (StencilOp::identity, n).
-    std::map<std::pair<const void*, int>, std::shared_ptr<const OpBinding>>
-        bindings;
   };
 
   std::shared_ptr<Generation> current_generation() const;
   SessionRef session_in(const std::shared_ptr<Generation>& gen, int n);
+  /// The slot under `key`, pinned and touched for LRU; an empty Pinned on
+  /// a miss.  Caller must hold gen->mutex.
+  Pinned find_locked(const std::shared_ptr<Generation>& gen,
+                     const SlotKey& key);
+  /// Publishes a slot bound outside the lock (an emplace race keeps the
+  /// winner and drops `fresh`), pins it, and — for a new slot — accounts
+  /// its bytes and enforces the policy.  Pinning comes first, so the slot
+  /// handed out is never its own eviction victim.  Caller must hold
+  /// gen->mutex.
+  Pinned publish_locked(const std::shared_ptr<Generation>& gen,
+                        const SlotKey& key, Slot fresh);
   /// Evicts LRU unpinned slots from `gen` until the policy is satisfied
   /// (or nothing evictable remains).  Caller must hold gen->mutex.
   void enforce_policy_locked(Generation& gen);
+  /// Moves the service-wide resident byte count (session_bytes_) and
+  /// mirrors the new total into pbmg_session_bytes.
+  void charge_bytes(std::size_t bytes);
+  void release_bytes(std::size_t bytes);
   /// Moves retired generations nobody pins into `out` for destruction
   /// outside the lock.  Caller must hold mutex_.
   void reclaim_retired_locked(
@@ -395,11 +432,11 @@ class SolveService {
   void observe_drift(const std::shared_ptr<Generation>& gen,
                      const SolveStats& stats, int accuracy_index, bool fmg);
   void start_retune();
-  /// The cached routing decision for `op` in `gen`, fingerprinting and
-  /// binding a DynamicSolver on first sight (construction happens outside
-  /// the generation lock; an emplace race keeps the winner).
-  std::shared_ptr<const OpBinding> binding_for(
-      const std::shared_ptr<Generation>& gen, const grid::StencilOp& op);
+  /// The routed slot for `op` in `gen`, fingerprinting `op` and binding
+  /// its escalation-ladder session on first sight (construction happens
+  /// outside the generation lock; an emplace race keeps the winner).
+  Pinned route_for(const std::shared_ptr<Generation>& gen,
+                   const grid::StencilOp& op);
   /// Launches the once-per-family background retune; returns true when
   /// THIS call fired it (false: no callback, family already handled, or
   /// another retune is mid-flight — the family stays unhandled so a
@@ -438,8 +475,9 @@ class SolveService {
   obs::Histogram& batch_size_;
   obs::Histogram& route_distance_;
 
-  mutable std::mutex mutex_;  // guards current_/retired_, stats_, latency_,
-                              // route_counters_
+  // Guards current_/retired_, stats_, latency_, route_counters_.  Lock
+  // order: mutex_ before any Generation::mutex.
+  mutable std::mutex mutex_;
   std::shared_ptr<Generation> current_;
   std::vector<std::shared_ptr<Generation>> retired_;
   ServiceStats stats_;

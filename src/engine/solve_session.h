@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -10,11 +11,13 @@
 #include "grid/stencil_op.h"
 #include "obs/phase_profile.h"
 #include "solvers/multigrid.h"
+#include "tune/dynamic.h"
 #include "tune/executor.h"
 #include "tune/table.h"
 
 /// \file solve_session.h
-/// A prepared solve context: Engine + TunedConfig + operator + grid size.
+/// A prepared solve context: Engine + a ladder of tuned configs + operator
+/// + grid size — the one bound solver the service caches.
 ///
 /// Sessions amortize per-request setup for a service that answers many
 /// solves of one size: the tuned executor is bound once, the bound
@@ -29,6 +32,14 @@
 /// Sessions constructed without an operator bind the constant-coefficient
 /// Poisson operator — StencilOp's fast path — and execute bit-for-bit the
 /// same arithmetic as before operators existed.
+///
+/// A session binds an ordered ladder of per-family tuned configs
+/// (tune::FamilyConfig, nearest family first).  The fixed-plan entry
+/// points (solve_v, solve_fmg, solve_batch_v) always run rung 0; the
+/// single-config constructors bind a one-rung ladder.  solve_adaptive is
+/// the paper's §6 dynamic-tuning loop (tune/dynamic.h): residual feedback
+/// escalates up rung 0's accuracy ladder and then across to later rungs'
+/// tables when the input responds worse than the trained class promises.
 
 namespace pbmg {
 
@@ -88,13 +99,26 @@ class SolveSession {
   /// counts (that delta is what bench/fig18_operator_families measures).
   SolveSession(Engine& engine, tune::TunedConfig config, grid::StencilOp op);
 
+  /// Binds `op` to an ordered escalation ladder (nearest family first).
+  /// Throws InvalidArgument when the ladder is empty, holds a null config,
+  /// or any rung is not trained up to op's level.  The coefficient
+  /// hierarchies, one executor per rung and the packed streams are all
+  /// built here, once, and shared by every rung.
+  SolveSession(Engine& engine, grid::StencilOp op,
+               std::vector<tune::FamilyConfig> ladder);
+
   SolveSession(const SolveSession&) = delete;
   SolveSession& operator=(const SolveSession&) = delete;
 
   int n() const { return n_; }
   int level() const { return level_; }
   Engine& engine() const { return engine_; }
-  const tune::TunedConfig& config() const { return config_; }
+
+  /// Rung 0's tables: the config every fixed-plan solve runs.
+  const tune::TunedConfig& config() const { return *ladder_.front().config; }
+
+  /// Family names of the bound escalation ladder, in escalation order.
+  std::vector<std::string> families() const;
 
   /// The bound fine-grid operator (Poisson fast path for the int ctor).
   const grid::StencilOp& op() const { return ops_.at(level_); }
@@ -104,16 +128,17 @@ class SolveSession {
 
   /// Ladder index of the cheapest tuned accuracy >= target.
   int accuracy_index(double target_accuracy) const {
-    return config_.accuracy_index(target_accuracy);
+    return config().accuracy_index(target_accuracy);
   }
 
   /// Resident bytes this session pins for its lifetime: the coefficient
-  /// ladders (averaged + RAP, packed streams included) plus the scratch
-  /// grids its solves cycle through.  The scratch term is the prewarm
-  /// estimate — pool grids are shared across sessions on one engine, so
-  /// this is an admission/eviction accounting figure (what binding the
-  /// session added to the fleet's footprint), not an exclusive-ownership
-  /// measurement.  Computed once at construction, after prewarming.
+  /// ladders (averaged + RAP, packed streams included; shared by every
+  /// rung) plus the scratch grids its solves cycle through.  The scratch
+  /// term is the prewarm estimate — pool grids are shared across
+  /// sessions on one engine, so this is an admission/eviction accounting
+  /// figure (what binding the session added to the fleet's footprint),
+  /// not an exclusive-ownership measurement.  Computed once at
+  /// construction, after prewarming.
   std::size_t footprint_bytes() const { return footprint_bytes_; }
 
   /// Tuned MULTIGRID-V_i at `accuracy_index` (x: Dirichlet ring + guess).
@@ -158,6 +183,20 @@ class SolveSession {
                                  std::shared_ptr<obs::PhaseProfile> profile =
                                      nullptr) const;
 
+  /// Dynamic solve (paper §6): invokes tuned V variants until the residual
+  /// norm has dropped by `target_reduction` (>= 1), at most
+  /// `max_iterations` times.  Starts at rung 0's cheapest accuracy and
+  /// escalates when an invocation's measured reduction falls short of
+  /// its class's promise — up the current rung's accuracy ladder, then
+  /// across to the next rung's tables once that ladder is exhausted.
+  /// Only the tuned invocations are timed; the feedback and audit norms
+  /// run outside the window.  `profile`, when non-null, receives the tuned
+  /// invocations' per-(level, phase) breakdown.
+  tune::DynamicResult solve_adaptive(
+      Grid2D& x, const Grid2D& b, double target_reduction,
+      int max_iterations = 64,
+      std::shared_ptr<obs::PhaseProfile> profile = nullptr) const;
+
   /// Iterated Red-Black SOR at ω_opt(n) scaled by the engine's tunables.
   SolveStats solve_iterated_sor(Grid2D& x, const Grid2D& b, int max_sweeps,
                                 const solvers::StopFn& stop) const;
@@ -170,13 +209,15 @@ class SolveSession {
   double residual_norm(const Grid2D& x, const Grid2D& b) const;
 
   Engine& engine_;
-  tune::TunedConfig config_;
+  std::vector<tune::FamilyConfig> ladder_;
   int n_;
   int level_;
-  grid::StencilHierarchy ops_;      // built before executor_, which binds it
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless a tuned
-                                    // cell asks for rap coarsening
-  tune::TunedExecutor executor_;    // bound to config_ (stable: non-movable)
+  grid::StencilHierarchy ops_;      // built before executors_, which bind it
+  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless some
+                                    // rung's tuned cells ask for rap
+  /// One executor per rung, bound to ladder_[k].config and the shared
+  /// hierarchies (TunedExecutor is non-movable).
+  std::vector<std::unique_ptr<tune::TunedExecutor>> executors_;
   std::size_t footprint_bytes_ = 0;  // see footprint_bytes()
 };
 

@@ -4,13 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "grid/grid2d.h"
-#include "grid/scratch.h"
-#include "grid/stencil_op.h"
-#include "obs/phase_profile.h"
-#include "runtime/scheduler.h"
-#include "solvers/direct.h"
-#include "tune/executor.h"
 #include "tune/table.h"
 
 /// \file dynamic.h
@@ -22,24 +15,13 @@
 ///  versions of itself, providing better performance across a broader
 ///  range of inputs."
 ///
-/// DynamicSolver drives statically tuned MULTIGRID-V_i variants with a
-/// runtime feedback loop, generalized across *operators* and *families*:
-///
-///  - It binds one grid::StencilOp at construction and measures op-aware
-///    residuals, so any elliptic operator — not just Poisson — gets honest
-///    convergence feedback.
-///  - It binds an ordered ladder of per-family tuned configs
-///    (nearest-family first, as ranked by grid/fingerprint.h).  Within the
-///    current family it escalates up the accuracy ladder when a variant
-///    underperforms its trained error-reduction class; when that ladder is
-///    exhausted and the input still responds worse than the class
-///    promises, it switches to the next family's tables instead of
-///    stalling — the cross-family half of the §6 loop.
-///  - Everything expensive happens once, at bind time: the averaged
-///    coefficient hierarchy, the Galerkin RAP ladder (when any bound
-///    config uses it), one TunedExecutor per family, and the packed SoA
-///    streams.  solve() touches none of it — two consecutive solves share
-///    every prewarmed structure (dynamic_test pins this).
+/// The adaptive loop lives on the bound solver itself:
+/// SolveSession::solve_adaptive (engine/solve_session.h) drives a
+/// session's ladder of per-family tuned configs with residual feedback,
+/// escalating up the current family's accuracy ladder and then across to
+/// the next-nearest family.  This header holds the vocabulary that loop
+/// and its callers share: a ladder rung and the honest per-variant
+/// outcome.
 ///
 /// Honest stats contract (PR 8): DynamicResult reports the executor's
 /// *real* per-variant iteration counts, times only the tuned-variant
@@ -51,8 +33,8 @@ namespace pbmg::tune {
 
 /// One rung of the cross-family escalation ladder: a family name (stable
 /// grid/problem.h token, used in results and metrics labels) and its
-/// tuned tables.  The shared_ptr keeps the config alive for the solver's
-/// lifetime (service generations hand out aliased pointers).
+/// tuned tables.  The shared_ptr keeps the config alive for the bound
+/// solver's lifetime.
 struct FamilyConfig {
   std::string family;
   std::shared_ptr<const TunedConfig> config;
@@ -82,76 +64,6 @@ struct DynamicResult {
                             ///< window excludes every residual norm)
   bool converged = false;   ///< final residual audit met the target
   std::vector<VariantRun> variants;  ///< one entry per invocation
-};
-
-/// Runtime-adaptive driver over per-family tuned configurations, bound to
-/// one operator and grid size.  All solve entry points are const and
-/// thread-safe (the scheduler and scratch pool are concurrent); callers
-/// bring their own x/b grids.
-class DynamicSolver {
- public:
-  /// Binds `op` and an ordered escalation ladder (nearest family first;
-  /// must be non-empty, every config trained to op's level) to execution
-  /// resources (normally one pbmg::Engine's scheduler/direct/scratch
-  /// trio).  Construction coarsens the coefficient hierarchies, builds
-  /// one executor per family and prewarms packed streams when the relax
-  /// tunables select the packed kernel layout — solve() reuses all of it.
-  DynamicSolver(grid::StencilOp op, std::vector<FamilyConfig> ladder,
-                rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
-
-  /// Single-family convenience: the historical one-config binding (the
-  /// config is copied; its op_family provenance names the ladder rung).
-  DynamicSolver(const TunedConfig& config, grid::StencilOp op,
-                rt::Scheduler& sched, solvers::DirectSolver& direct,
-                grid::ScratchPool& pool,
-                const solvers::RelaxTunables& relax =
-                    solvers::relax_tunables());
-
-  /// Not movable: the bound executors hold the hierarchies by address.
-  DynamicSolver(const DynamicSolver&) = delete;
-  DynamicSolver& operator=(const DynamicSolver&) = delete;
-
-  /// Grid side / recursion level the solver is bound to.
-  int n() const { return n_; }
-  int level() const { return level_; }
-
-  /// The bound fine-grid operator and its prewarmed averaged ladder.
-  const grid::StencilOp& op() const { return ops_.at(level_); }
-  const grid::StencilHierarchy& operators() const { return ops_; }
-
-  /// Family names of the bound escalation ladder, in escalation order.
-  std::vector<std::string> families() const;
-
-  /// Solves A·x = b until the residual norm has dropped by
-  /// `target_reduction` (>= 1), invoking tuned variants at most
-  /// `max_iterations` times.  `x` carries the Dirichlet ring and initial
-  /// guess and must match the bound operator's side; it is updated in
-  /// place.  `profile`, when non-null, receives the tuned invocations'
-  /// per-(level, phase) breakdown (the untimed residual norms are not
-  /// attributed).
-  DynamicResult solve(Grid2D& x, const Grid2D& b, double target_reduction,
-                      int max_iterations = 64,
-                      obs::PhaseProfile* profile = nullptr) const;
-
- private:
-  double residual_norm(const Grid2D& x, const Grid2D& b) const;
-
-  int n_ = 0;
-  int level_ = 0;
-  std::vector<FamilyConfig> ladder_;
-  rt::Scheduler& sched_;
-  solvers::DirectSolver& direct_;
-  grid::ScratchPool& pool_;
-  solvers::RelaxTunables relax_;
-  grid::StencilHierarchy ops_;      // built before the executors below
-  grid::StencilHierarchy ops_rap_;  // Galerkin ladder; empty unless some
-                                    // bound config asks for rap cells
-  /// One executor per ladder rung, bound once at construction to the
-  /// shared hierarchies (TunedExecutor is non-movable).
-  std::vector<std::unique_ptr<TunedExecutor>> executors_;
 };
 
 }  // namespace pbmg::tune

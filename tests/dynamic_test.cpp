@@ -1,5 +1,6 @@
-// Tests for the dynamic-tuning extension (paper §6 future work): the
-// runtime-adaptive driver over statically tuned variants must converge on
+// Tests for the dynamic-tuning extension (paper §6 future work):
+// SolveSession::solve_adaptive, the runtime-adaptive loop over statically
+// tuned variants, must converge on
 // in-distribution inputs without escalating much, escalate on inputs that
 // respond worse than the trained class promises — up the accuracy ladder
 // and, when bound to a multi-family ladder, across families — respect its
@@ -11,6 +12,7 @@
 #include <memory>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/problem.h"
@@ -48,9 +50,8 @@ const TunedConfig& trained() {
   return config;
 }
 
-DynamicSolver poisson_solver(int n) {
-  return DynamicSolver(trained(), grid::StencilOp::poisson(n), sched(),
-                      engine().direct(), engine().scratch());
+std::unique_ptr<SolveSession> poisson_solver(int n) {
+  return std::make_unique<SolveSession>(engine(), trained(), n);
 }
 
 /// Hand-built RAP config: every non-base cell recurses against the
@@ -80,14 +81,14 @@ double residual_norm(const Grid2D& x, const Grid2D& b) {
   return grid::norm2_interior(r, sched());
 }
 
-TEST(DynamicSolver, ConvergesToResidualTargetInDistribution) {
+TEST(AdaptiveSolve, ConvergesToResidualTargetInDistribution) {
   const int n = size_of_level(5);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   Rng rng(42);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
   const double r0 = residual_norm(x, problem.b);
-  const auto result = solver.solve(x, problem.b, 1e8);
+  const auto result = solver->solve_adaptive(x, problem.b, 1e8);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(residual_norm(x, problem.b), r0 / 1e8 * 1.0001);
   EXPECT_GE(result.residual_reduction, 1e8);
@@ -101,43 +102,43 @@ TEST(DynamicSolver, ConvergesToResidualTargetInDistribution) {
   }
 }
 
-TEST(DynamicSolver, ConvergesAcrossDistributions) {
+TEST(AdaptiveSolve, ConvergesAcrossDistributions) {
   // The point of dynamic tuning: one config, robust behaviour on inputs
   // from other distribution classes.
   const int n = size_of_level(5);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   for (auto dist :
        {InputDistribution::kBiased, InputDistribution::kPointSources}) {
     Rng rng(43);
     auto problem = make_problem(n, dist, rng);
     Grid2D x = problem.x0;
-    const auto result = solver.solve(x, problem.b, 1e6);
+    const auto result = solver->solve_adaptive(x, problem.b, 1e6);
     EXPECT_TRUE(result.converged) << to_string(dist);
   }
 }
 
-TEST(DynamicSolver, TrivialTargetNeedsNoEscalation) {
+TEST(AdaptiveSolve, TrivialTargetNeedsNoEscalation) {
   const int n = size_of_level(4);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   Rng rng(44);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
-  const auto result = solver.solve(x, problem.b, 2.0);
+  const auto result = solver->solve_adaptive(x, problem.b, 2.0);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.escalations, 0);
   EXPECT_EQ(result.family_switches, 0);
   EXPECT_LE(result.iterations, 2);
 }
 
-TEST(DynamicSolver, DeepTargetsClimbTheLadder) {
+TEST(AdaptiveSolve, DeepTargetsClimbTheLadder) {
   // Demanding far more reduction than the cheapest variant delivers per
   // call forces the driver up the accuracy ladder.
   const int n = size_of_level(5);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   Rng rng(45);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
-  const auto result = solver.solve(x, problem.b, 1e12, 64);
+  const auto result = solver->solve_adaptive(x, problem.b, 1e12, 64);
   EXPECT_GE(result.final_accuracy_index, 0);
   EXPECT_LE(result.final_accuracy_index, trained().accuracy_count() - 1);
   // Either converged, or honestly reported non-convergence within budget.
@@ -146,21 +147,21 @@ TEST(DynamicSolver, DeepTargetsClimbTheLadder) {
   }
 }
 
-TEST(DynamicSolver, RespectsIterationBudget) {
+TEST(AdaptiveSolve, RespectsIterationBudget) {
   const int n = size_of_level(5);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   Rng rng(46);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
-  const auto result = solver.solve(x, problem.b, 1e30, 3);
+  const auto result = solver->solve_adaptive(x, problem.b, 1e30, 3);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 3);
   EXPECT_EQ(result.variants.size(), 3u);
 }
 
-TEST(DynamicSolver, AlreadyConvergedInputReturnsImmediately) {
+TEST(AdaptiveSolve, AlreadyConvergedInputReturnsImmediately) {
   const int n = size_of_level(4);
-  const DynamicSolver solver = poisson_solver(n);
+  const auto solver = poisson_solver(n);
   // x solves A·x = b exactly when b = A·x by construction.
   Rng rng(47);
   Grid2D x(n, 0.0);
@@ -170,25 +171,25 @@ TEST(DynamicSolver, AlreadyConvergedInputReturnsImmediately) {
   Grid2D b(n, 0.0);
   grid::apply_poisson(x, b, sched());
   Grid2D guess = x;  // start at the exact solution
-  const auto result = solver.solve(guess, b, 1e6);
+  const auto result = solver->solve_adaptive(guess, b, 1e6);
   EXPECT_TRUE(result.converged);
   EXPECT_LE(result.iterations, 1);
 }
 
-TEST(DynamicSolver, ValidatesArguments) {
-  const DynamicSolver solver = poisson_solver(17);
+TEST(AdaptiveSolve, ValidatesArguments) {
+  const auto solver = poisson_solver(17);
   Grid2D x(17, 0.0), b(33, 0.0);
-  EXPECT_THROW(solver.solve(x, b, 10.0), InvalidArgument);
+  EXPECT_THROW(solver->solve_adaptive(x, b, 10.0), InvalidArgument);
   Grid2D b17(17, 0.0);
-  EXPECT_THROW(solver.solve(x, b17, 0.5), InvalidArgument);
+  EXPECT_THROW(solver->solve_adaptive(x, b17, 0.5), InvalidArgument);
   EXPECT_THROW(
-      DynamicSolver(grid::StencilOp::poisson(17), {}, sched(),
-                    engine().direct(), engine().scratch()),
+      SolveSession(engine(), grid::StencilOp::poisson(17),
+                   std::vector<FamilyConfig>{}),
       InvalidArgument);
 }
 
-TEST(DynamicSolver, PrewarmSharedAcrossSolves) {
-  // Regression for the per-call executor rebuild: solve() used to
+TEST(AdaptiveSolve, PrewarmSharedAcrossSolves) {
+  // Regression for the per-call executor rebuild: the adaptive solve used to
   // construct a TunedExecutor (and let it lazily rebuild its RAP ladder)
   // on every invocation.  Bind a RAP config to a variable-coefficient
   // operator and run two consecutive profiled solves: neither may spend a
@@ -199,23 +200,22 @@ TEST(DynamicSolver, PrewarmSharedAcrossSolves) {
   const int n = size_of_level(level);
   const grid::StencilOp op =
       make_operator(n, OperatorFamily::kJumpCoefficient);
-  const DynamicSolver solver(rap_config(level, "jump"), op, sched(),
-                             engine().direct(), engine().scratch());
+  const SolveSession solver(engine(), rap_config(level, "jump"), op);
   const std::size_t bytes_before = solver.operators().bytes();
   Rng rng(48);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   for (int pass = 0; pass < 2; ++pass) {
-    obs::PhaseProfile profile;
+    auto profile = std::make_shared<obs::PhaseProfile>();
     Grid2D x = problem.x0;
-    const auto result = solver.solve(x, problem.b, 1e3, 64, &profile);
+    const auto result = solver.solve_adaptive(x, problem.b, 1e3, 64, profile);
     EXPECT_TRUE(result.converged) << "pass " << pass;
-    EXPECT_EQ(profile.phase_seconds(obs::Phase::kRapSetup), 0.0)
+    EXPECT_EQ(profile->phase_seconds(obs::Phase::kRapSetup), 0.0)
         << "pass " << pass << " re-built the Galerkin ladder";
   }
   EXPECT_EQ(solver.operators().bytes(), bytes_before);
 }
 
-TEST(DynamicSolver, JumpUnderPoissonStartEscalatesCrossFamily) {
+TEST(AdaptiveSolve, JumpUnderPoissonStartEscalatesCrossFamily) {
   // The cross-family half of the §6 loop: a high-contrast jump operator
   // under a Poisson-trained start.  The Poisson tables' cycle shapes were
   // certified on constant coefficients; on the jump interface their
@@ -231,14 +231,13 @@ TEST(DynamicSolver, JumpUnderPoissonStartEscalatesCrossFamily) {
       {"poisson", std::make_shared<const TunedConfig>(trained())});
   ladder.push_back({"jump", std::make_shared<const TunedConfig>(
                                 rap_config(level, "jump"))});
-  const DynamicSolver solver(op, std::move(ladder), sched(),
-                             engine().direct(), engine().scratch());
+  const SolveSession solver(engine(), op, std::move(ladder));
   EXPECT_EQ(solver.families(),
             (std::vector<std::string>{"poisson", "jump"}));
   Rng rng(49);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
-  const auto result = solver.solve(x, problem.b, 1e6, 64);
+  const auto result = solver.solve_adaptive(x, problem.b, 1e6, 64);
   EXPECT_TRUE(result.converged);
   EXPECT_GE(result.family_switches, 1);
   EXPECT_EQ(result.final_family, "jump");

@@ -1,12 +1,15 @@
 // Fleet-serving suite: the byte-budgeted session cache (LRU eviction,
 // SessionRef pinning, retired-generation reclaim) and the batched
-// multi-RHS solve path.  Eviction must never destroy a pinned session,
+// multi-RHS solve path.  The cache is shared by solve() sizes and
+// solve_op() routed operators, so a stream of distinct operators stays
+// inside the budget too.  Eviction must never destroy a pinned session,
 // an evicted size must rebind to bit-identical solves, solve_batch must
 // bitwise-match K solo solves under any thread count, and binds /
 // batches / installs / trims must be race-free under concurrent clients
 // (this suite runs under TSan and UBSan in CI).
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -51,6 +54,21 @@ const tune::TunedConfig& trained() {
 bool bitwise_equal(const Grid2D& a, const Grid2D& b) {
   return a.n() == b.n() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A jump-like operator of side n: a box of random contrast in a unit
+/// background, its corners on x, y ∈ {¼, ½, ¾} (grid lines of every
+/// level, as for the canonical jump family).  Every call allocates fresh
+/// coefficients, so every operator is a distinct routing key.
+grid::StencilOp jump_like(int n, Rng& rng) {
+  constexpr double kSpans[3][2] = {{0.25, 0.5}, {0.25, 0.75}, {0.5, 0.75}};
+  const double* xs = kSpans[rng.uniform_index(3)];
+  const double* ys = kSpans[rng.uniform_index(3)];
+  const double contrast = rng.uniform(10.0, 1000.0);
+  return grid::StencilOp::from_coefficient(n, [=](double x, double y) {
+    const bool inside = x >= xs[0] && x < xs[1] && y >= ys[0] && y < ys[1];
+    return inside ? contrast : 1.0;
+  });
 }
 
 /// Footprint of one bound session of side `n` under the trained config,
@@ -138,6 +156,92 @@ TEST(FleetCache, EvictedSizeRebindsToBitIdenticalSolves) {
   second.copy_from(problem.x0);
   service.solve(second, problem.b, request);
   EXPECT_TRUE(bitwise_equal(first, second));
+}
+
+TEST(FleetCache, RoutedOperatorsShareTheByteBudget) {
+  // Distinct operators through solve_op must live in the same budgeted
+  // cache as solve()'s sessions: counted in session_bytes, evicted LRU
+  // first, and never evicted while a routed solve is in flight on them.
+  // A serial engine keeps each client's sweeps on its own thread, so the
+  // in-flight phase below races two clients, not a shared worker pool.
+  Engine serial(rt::serial_profile());
+  constexpr int kOperators = 10000;
+  const int n = size_of_level(kMaxLevel);
+  Rng rng(909);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest easy;
+  easy.target_accuracy = 10.0;
+  const auto solve_op = [&](SolveService& service, const grid::StencilOp& op,
+                            const SolveRequest& request) {
+    Grid2D x(n, 0.0);
+    x.copy_from(problem.x0);
+    return service.solve_op(op, x, problem.b, request);
+  };
+  std::size_t slot_bytes = 0;
+  {
+    SolveService probe(serial, trained());
+    solve_op(probe, jump_like(n, rng), easy);
+    slot_bytes = probe.stats().session_bytes;
+  }
+  ASSERT_GT(slot_bytes, 0u);
+
+  ServicePolicy policy;
+  policy.max_session_bytes = 4 * slot_bytes;
+  SolveService service(serial, trained(), policy);
+  for (int i = 0; i < kOperators; ++i) {
+    solve_op(service, jump_like(n, rng), easy);
+    const std::size_t resident = service.stats().session_bytes;
+    ASSERT_LE(resident, policy.max_session_bytes + slot_bytes)
+        << "after operator " << i;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.routed_requests, kOperators);
+  EXPECT_EQ(stats.failures, 0);
+  EXPECT_GE(stats.evictions, kOperators - 4);
+  EXPECT_LE(stats.sessions, 5u);
+  EXPECT_EQ(service.metrics_snapshot().gauges.at("pbmg_session_bytes"),
+            static_cast<double>(service.stats().session_bytes));
+
+  // A routed slot pinned by an in-flight solve is never the victim.  One
+  // thread runs an unreachable target through the whole iteration budget
+  // while the main thread churns operators through a one-slot budget;
+  // the pinned operator's slot must still be cached afterwards, so
+  // re-serving it binds (and evicts) nothing.  The verdict only counts
+  // if the long solve was still running when it was taken; each
+  // inconclusive attempt doubles the budget.
+  SolveRequest unreachable;
+  unreachable.target_accuracy = 1e300;
+  bool conclusive = false;
+  for (int budget = 2000; !conclusive && budget <= 64000; budget *= 2) {
+    ServicePolicy one_slot;
+    one_slot.max_session_bytes = slot_bytes;
+    SolveService pinned(serial, trained(), one_slot);
+    RoutePolicy route;
+    route.max_iterations = budget;
+    pinned.enable_operator_routing(route, nullptr);
+    const grid::StencilOp held = jump_like(n, rng);
+    std::atomic<bool> finished{false};
+    std::thread long_solve([&] {
+      solve_op(pinned, held, unreachable);
+      finished.store(true, std::memory_order_release);
+    });
+    while (pinned.stats().sessions == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    for (int i = 0; i < 16; ++i) solve_op(pinned, jump_like(n, rng), easy);
+    const ServiceStats before = pinned.stats();
+    solve_op(pinned, held, easy);
+    const ServiceStats after = pinned.stats();
+    conclusive = !finished.load(std::memory_order_acquire);
+    long_solve.join();
+    if (!conclusive) continue;
+    EXPECT_GT(before.evictions, 0);
+    EXPECT_EQ(after.evictions, before.evictions)
+        << "the in-flight operator's slot was evicted and rebound";
+    EXPECT_EQ(after.session_bytes, before.session_bytes);
+  }
+  EXPECT_TRUE(conclusive) << "the long routed solve never outlasted the "
+                             "churn; no verdict on in-flight pinning";
 }
 
 // ------------------------------------------------------ batched solves --

@@ -263,6 +263,114 @@ TEST(OperatorRouting, NovelFamilyServesRetunesOnceAndReroutes) {
   EXPECT_EQ(stats.routed_requests, 3 + kThreads * kPerThread);
 }
 
+TEST(OperatorRouting, DriftInstallKeepsFamilyExtensions) {
+  // A drift install starts a new generation; the family tables a
+  // background retune installed as an extension of the old one must carry
+  // over.  The exactly-once family retune guard would never retrain them.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  service.enable_operator_routing(RoutePolicy{}, [&](OperatorFamily family) {
+    return handmade(level, to_string(family), grid::Coarsening::kRap);
+  });
+  Rng rng(13);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  const grid::StencilOp jump =
+      make_operator(n, OperatorFamily::kJumpCoefficient);
+  Grid2D x = problem.x0;
+  service.solve_op(jump, x, problem.b, request);  // fires the jump retune
+  for (int i = 0; i < 1000 && service.retune_in_progress(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(service.retune_in_progress());
+  ASSERT_EQ(service.stats().family_retunes, 1);
+
+  service.install(handmade(level, "poisson", grid::Coarsening::kAverage));
+  ASSERT_EQ(service.generation(), 2);
+  x = problem.x0;
+  tune::DynamicResult routed;
+  const SolveStats post =
+      service.solve_op(jump, x, problem.b, request, &routed);
+  EXPECT_TRUE(post.converged);
+  EXPECT_EQ(post.generation, 2);
+  ASSERT_FALSE(routed.variants.empty());
+  EXPECT_EQ(routed.variants.front().family, "jump");
+  EXPECT_EQ(routed.final_family, "jump");
+  const auto snapshot = service.metrics_snapshot();
+  EXPECT_EQ(snapshot.counters.at(
+                "pbmg_route_total{family=\"jump\",outcome=\"matched\"}"),
+            1);
+  EXPECT_EQ(service.stats().family_retunes, 1);
+}
+
+TEST(OperatorRouting, SolveAndRoutedPoissonKeepSeparateSlots) {
+  // Every Poisson StencilOp shares the null identity(), so the cache key
+  // must tell solve()'s own-family session of side n apart from a routed
+  // Poisson operator of the same side.  Both serve from one service.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  Rng rng(17);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest fixed;
+  fixed.accuracy_index = 0;
+  Grid2D first = problem.x0;
+  const SolveStats plan = service.solve(first, problem.b, fixed);
+  EXPECT_EQ(plan.accuracy_index, 0);
+  EXPECT_EQ(service.stats().sessions, 1u);
+
+  SolveRequest routed_request;
+  routed_request.target_accuracy = 1e3;
+  Grid2D routed = problem.x0;
+  tune::DynamicResult detail;
+  const SolveStats op_stats = service.solve_op(
+      grid::StencilOp::poisson(n), routed, problem.b, routed_request, &detail);
+  EXPECT_TRUE(op_stats.converged);
+  EXPECT_EQ(detail.final_family, "poisson");
+  EXPECT_GE(detail.residual_reduction, 1e3);
+  EXPECT_EQ(service.stats().sessions, 2u);
+
+  // Each path keeps hitting its own slot: solve() reruns its fixed plan
+  // bit for bit, and no further session is bound.
+  Grid2D second = problem.x0;
+  service.solve(second, problem.b, fixed);
+  EXPECT_TRUE(bitwise_equal(first, second));
+  Grid2D again = problem.x0;
+  service.solve_op(grid::StencilOp::poisson(n), again, problem.b,
+                   routed_request);
+  EXPECT_TRUE(bitwise_equal(routed, again));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.sessions, 2u);
+  EXPECT_EQ(stats.routed_requests, 2);
+  EXPECT_EQ(stats.requests, 4);
+}
+
+TEST(OperatorRouting, RetiredGenerationWithRoutedSessionsIsReclaimed) {
+  // A routed session served by the construction config's own tables must
+  // not keep its generation alive: once an install retires it and no pin
+  // remains, trim() reclaims it and its resident bytes.
+  const int level = 4;
+  const int n = size_of_level(level);
+  SolveService service(
+      engine(), handmade(level, "poisson", grid::Coarsening::kAverage));
+  Rng rng(19);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  SolveRequest request;
+  request.target_accuracy = 10.0;
+  Grid2D x = problem.x0;
+  service.solve_op(grid::StencilOp::poisson(n), x, problem.b, request);
+  ASSERT_GT(service.stats().session_bytes, 0u);
+  service.install(handmade(level, "poisson", grid::Coarsening::kAverage));
+  service.trim();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.retired_generations, 0u);
+  EXPECT_EQ(stats.session_bytes, 0u);  // generation 2 has bound nothing
+}
+
 TEST(OperatorRouting, RejectsFmgAndUnsetAccuracy) {
   const int level = 4;
   const int n = size_of_level(level);
