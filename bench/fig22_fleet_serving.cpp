@@ -2,9 +2,10 @@
 // on one tuned variable-coefficient service:
 //
 //  A. Batched multi-RHS amortization — K right-hand sides solved through
-//     SolveService::solve_batch vs K solo solves.  The fused kernels load
-//     each packed coefficient row once per sweep and apply it to all K
-//     iterates, so throughput should grow with K while every slot stays
+//     SolveService::solve_batch vs K solo solves.  The fused residual and
+//     point-SOR kernels load each coefficient row once per sweep and apply
+//     it to all K iterates (line sweeps run K solo sweeps back to back),
+//     so throughput should grow with K while every slot stays
 //     bitwise identical to its solo solve (divergences are counted and
 //     must be zero).
 //
@@ -29,7 +30,6 @@
 #include "common/harness.h"
 #include "engine/solve_service.h"
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 #include "obs/metrics.h"
 #include "support/timer.h"
 #include "tune/config_cache.h"
@@ -52,24 +52,14 @@ int main_impl(int argc, const char* const* argv) {
   if (!maybe) return 0;
   const Settings settings = *maybe;
   const auto dist = InputDistribution::kUnbiased;
-  // Per-request latency must stay laptop-scale across the whole sweep;
-  // level 8 is also where the tuned tables pick zebra line smoothers at
-  // the fine levels, the regime the batched Thomas factor-reuse targets.
+  // Per-request latency must stay laptop-scale across the whole sweep.
   const int top_level = std::min(settings.max_level, 8);
   // A variable-coefficient family so the multi-RHS fusion has real
   // coefficient streams to amortize (Poisson's constant-coefficient fast
   // path has nothing to re-load in the first place).
   const OperatorFamily family = OperatorFamily::kJumpCoefficient;
 
-  // The batch arm's coefficient-stream amortization only exists on the
-  // packed SoA layout (one stream load serves all K iterates); the default
-  // profile would leave the engine on the legacy layout where solve_batch
-  // saves nothing.  Widest supported lane width, exactly what the kernel
-  // tuner would pick on this machine.
-  EngineOptions eng_options = engine_options(settings, rt::MachineProfile{});
-  eng_options.relax.kernels.layout = grid::StencilLayout::kPacked;
-  eng_options.relax.kernels.simd_width = grid::packed_simd_width_supported();
-  Engine engine(eng_options);
+  Engine engine(engine_options(settings, rt::MachineProfile{}));
   track_engine("fig22", engine);
   const std::string cache_dir = engine.cache_dir().empty()
                                     ? tune::default_cache_dir()
@@ -89,7 +79,7 @@ int main_impl(int argc, const char* const* argv) {
   {
     // Warm the session + scratch outside every timed region — one solo
     // solve, then one widest batch so the multi walk's extra pool leases
-    // (per-RHS residual grids, shared Thomas factor rows) exist before
+    // (per-RHS residual grids, line-solve workspaces) exist before
     // any timed trial.
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);

@@ -10,7 +10,6 @@
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 #include "grid/problem.h"
 #include "linalg/band_matrix.h"
 #include "linalg/poisson_assembly.h"
@@ -193,102 +192,56 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
 }
 BENCHMARK(BM_VCycleProfilingOn)->Arg(257);
 
-// ----------------------------------------------- packed-vs-legacy pairs --
-// The ISSUE-7 tentpole's accounting: each pair runs the identical sweep
-// on the identical 9-point operator (the fig20-class rotated-anisotropy
-// discretisation, the family whose legacy sweeps stream nine separate
-// coefficient grids), differing only in KernelPolicy.  Results are
-// bitwise identical by contract (tests/packed_kernels_test.cpp), so the
-// delta is pure memory traffic + SIMD.  The operator is packed before
-// timing starts, like SolveSession's prewarm.
+// ------------------------------------------------ 9-point stencil sweeps --
+// The variable-coefficient kernels on the fig20-class rotated-anisotropy
+// operator (9-point on every level, so each sweep streams five
+// coefficient grids besides the iterate and right-hand side).
 
 grid::StencilOp nine_point_op(int n) {
   return make_operator(n, OperatorFamily::kAnisoTheta30);
 }
 
-grid::KernelPolicy packed_policy() {
-  grid::KernelPolicy policy;
-  policy.layout = grid::StencilLayout::kPacked;
-  policy.simd_width = grid::clamp_simd_width(4);
-  return policy;
-}
-
-void stencil_residual_bench(benchmark::State& state,
-                            const grid::KernelPolicy& policy) {
+void BM_StencilResidual(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const grid::StencilOp op = nine_point_op(n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   Grid2D r(n, 0.0);
   auto& sched = bench_engine().scheduler();
   for (auto _ : state) {
-    grid::residual_op(op, x, problem.b, r, sched, policy);
+    grid::residual_op(op, x, problem.b, r, sched);
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
+BENCHMARK(BM_StencilResidual)->Arg(129)->Arg(513)->Arg(1025);
 
-void BM_StencilResidualLegacy(benchmark::State& state) {
-  stencil_residual_bench(state, grid::KernelPolicy{});
-}
-BENCHMARK(BM_StencilResidualLegacy)->Arg(129)->Arg(513)->Arg(1025);
-
-void BM_StencilResidualPacked(benchmark::State& state) {
-  stencil_residual_bench(state, packed_policy());
-}
-BENCHMARK(BM_StencilResidualPacked)->Arg(129)->Arg(513)->Arg(1025);
-
-void stencil_sor_bench(benchmark::State& state,
-                       const grid::KernelPolicy& policy) {
+void BM_StencilSor(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const grid::StencilOp op = nine_point_op(n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
   for (auto _ : state) {
-    solvers::sor_sweep(op, x, problem.b, solvers::kRecurseOmega, sched,
-                       policy);
+    solvers::sor_sweep(op, x, problem.b, solvers::kRecurseOmega, sched);
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
+BENCHMARK(BM_StencilSor)->Arg(129)->Arg(513)->Arg(1025);
 
-void BM_StencilSorLegacy(benchmark::State& state) {
-  stencil_sor_bench(state, grid::KernelPolicy{});
-}
-BENCHMARK(BM_StencilSorLegacy)->Arg(129)->Arg(513)->Arg(1025);
-
-void BM_StencilSorPacked(benchmark::State& state) {
-  stencil_sor_bench(state, packed_policy());
-}
-BENCHMARK(BM_StencilSorPacked)->Arg(129)->Arg(513)->Arg(1025);
-
-void stencil_zebra_bench(benchmark::State& state,
-                         const grid::KernelPolicy& policy) {
+void BM_StencilZebra(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const grid::StencilOp op = nine_point_op(n);
-  op.packed();
   auto problem = problem_for(n);
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
   auto& pool = bench_engine().scratch();
   for (auto _ : state) {
     solvers::line_relax_sweep(op, x, problem.b,
-                              solvers::RelaxKind::kLineZebraAlt, sched, pool,
-                              policy);
+                              solvers::RelaxKind::kLineZebraAlt, sched, pool);
   }
   state.SetItemsProcessed(state.iterations() * (n - 2) * (n - 2));
 }
-
-void BM_StencilZebraLegacy(benchmark::State& state) {
-  stencil_zebra_bench(state, grid::KernelPolicy{});
-}
-BENCHMARK(BM_StencilZebraLegacy)->Arg(129)->Arg(513)->Arg(1025);
-
-void BM_StencilZebraPacked(benchmark::State& state) {
-  stencil_zebra_bench(state, packed_policy());
-}
-BENCHMARK(BM_StencilZebraPacked)->Arg(129)->Arg(513)->Arg(1025);
+BENCHMARK(BM_StencilZebra)->Arg(129)->Arg(513)->Arg(1025);
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   auto& sched = bench_engine().scheduler();

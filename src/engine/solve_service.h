@@ -69,10 +69,10 @@
 /// `pbmg_route_total{family,outcome=matched|escalated|retune}` plus a
 /// fingerprint-distance histogram.
 ///
-/// Fleet-scale memory: sessions are the expensive resident state (packed
-/// coefficient streams, RAP ladders, prewarmed scratch), so the session
-/// cache is byte-budgeted.  ServicePolicy caps resident session bytes
-/// and/or session count — solve() sizes and routed operators alike;
+/// Fleet-scale memory: sessions are the expensive resident state
+/// (averaged and RAP coefficient ladders, prewarmed scratch), so the
+/// session cache is byte-budgeted.  ServicePolicy caps resident session
+/// bytes and/or session count — solve() sizes and routed operators alike;
 /// binding past the budget evicts the least-recently-used *unpinned*
 /// sessions
 /// (`pbmg_session_evictions_total`), and session() hands out a pinning

@@ -92,15 +92,7 @@ SolveSession::SolveSession(Engine& engine, grid::StencilOp op,
       warm.push_back(engine_.scratch().acquire(side));
     }
   }  // leases release here, stocking the free-list
-  // Sessions whose engine tuned the packed kernel layout pack every level
-  // here, once, for the same reason the coefficient ladders coarsen here:
-  // no solve ever pays the O(n²) pack on its timed path.
-  if (engine_.relax().kernels.layout == grid::StencilLayout::kPacked) {
-    ops_.prewarm_packed();
-    if (rap != nullptr) ops_rap_.prewarm_packed();
-  }
-  // Footprint accounting happens last so the packed streams the prewarm
-  // just materialized are counted.  The scratch term is what the prewarm
+  // Footprint: both coefficient ladders plus the scratch the prewarm
   // above stocked, an admission estimate (the pool shares grids across
   // this engine's sessions).
   footprint_bytes_ = ops_.bytes() + ops_rap_.bytes() + scratch_bytes;
@@ -133,8 +125,7 @@ void SolveSession::check_operands(const Grid2D& x, const Grid2D& b) const {
 
 double SolveSession::residual_norm(const Grid2D& x, const Grid2D& b) const {
   auto lease = engine_.scratch().acquire(n_);
-  grid::residual_op(op(), x, b, lease.get(), engine_.scheduler(),
-                    engine_.relax().kernels);
+  grid::residual_op(op(), x, b, lease.get(), engine_.scheduler());
   return grid::norm2_interior(lease.get(), engine_.scheduler());
 }
 

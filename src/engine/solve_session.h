@@ -102,8 +102,8 @@ class SolveSession {
   /// Binds `op` to an ordered escalation ladder (nearest family first).
   /// Throws InvalidArgument when the ladder is empty, holds a null config,
   /// or any rung is not trained up to op's level.  The coefficient
-  /// hierarchies, one executor per rung and the packed streams are all
-  /// built here, once, and shared by every rung.
+  /// hierarchies and one executor per rung are all built here, once; the
+  /// hierarchies are shared by every rung.
   SolveSession(Engine& engine, grid::StencilOp op,
                std::vector<tune::FamilyConfig> ladder);
 
@@ -132,8 +132,8 @@ class SolveSession {
   }
 
   /// Resident bytes this session pins for its lifetime: the coefficient
-  /// ladders (averaged + RAP, packed streams included; shared by every
-  /// rung) plus the scratch grids its solves cycle through.  The scratch
+  /// ladders (averaged + RAP coefficient grids; shared by every rung)
+  /// plus the scratch grids its solves cycle through.  The scratch
   /// term is the prewarm estimate — pool grids are shared across
   /// sessions on one engine, so this is an admission/eviction accounting
   /// figure (what binding the session added to the fleet's footprint),

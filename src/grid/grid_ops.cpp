@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 
 namespace pbmg::grid {
 
@@ -162,16 +161,12 @@ void stencil_loop9(const StencilOp& op, const Grid2D& x, const Grid2D* b,
 }  // namespace
 
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
-              rt::Scheduler& sched, const KernelPolicy& kernels) {
+              rt::Scheduler& sched) {
   check_valid(x, "apply_op");
   check_same_size(x, out, "apply_op");
   PBMG_CHECK(op.n() == x.n(), "apply_op: operator/grid size mismatch");
   if (op.is_poisson()) {
     apply_poisson(x, out, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_apply(op, x, out, sched, kernels.simd_width);
     return;
   }
   if (op.is_nine_point()) {
@@ -184,16 +179,13 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels) {
+  validate_kernel_policy(kernels);
   check_valid(x, "residual_op");
   check_same_size(x, b, "residual_op");
   check_same_size(x, r, "residual_op");
   PBMG_CHECK(op.n() == x.n(), "residual_op: operator/grid size mismatch");
   if (op.is_poisson()) {
     residual(x, b, r, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual(op, x, b, r, sched, kernels.simd_width);
     return;
   }
   if (op.is_nine_point()) {
@@ -332,22 +324,17 @@ void residual_9pt_multi(const StencilOp& op,
 void residual_op_multi(const StencilOp& op,
                        std::span<const Grid2D* const> xs,
                        std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                       const KernelPolicy& kernels) {
+                       std::span<Grid2D* const> rs, rt::Scheduler& sched) {
   check_multi(op, xs, bs, rs, "residual_op_multi");
   if (xs.empty()) return;
   if (xs.size() == 1) {
     // K = 1 takes the solo kernel so batch-of-one and solo are the same
     // code path, not merely bitwise-equal ones.
-    residual_op(op, *xs[0], *bs[0], *rs[0], sched, kernels);
+    residual_op(op, *xs[0], *bs[0], *rs[0], sched);
     return;
   }
   if (op.is_poisson()) {
     residual_poisson_multi(xs, bs, rs, sched);
-    return;
-  }
-  if (kernels.layout == StencilLayout::kPacked) {
-    packed_residual_multi(op, xs, bs, rs, sched, kernels.simd_width);
     return;
   }
   if (op.is_nine_point()) {

@@ -34,16 +34,14 @@ void residual(const Grid2D& x, const Grid2D& b, Grid2D& r,
 /// stencil_op.h); out's boundary ring is zeroed.  The Poisson fast path
 /// dispatches to apply_poisson, bit-for-bit, and a 5-point operator keeps
 /// its pre-9-point loop bit-for-bit; 9-point operators take the corner-
-/// coupled kernel.  A KernelPolicy selecting StencilLayout::kPacked runs
-/// the SoA-packed SIMD kernels instead (packed_kernels.h) — bitwise
-/// identical results, different memory traffic (Poisson still takes its
-/// dedicated kernel).  Requires x.n() == op.n().
+/// coupled kernel.  Requires x.n() == op.n().
 void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
-              rt::Scheduler& sched, const KernelPolicy& kernels = {});
+              rt::Scheduler& sched);
 
 /// r = b − A x for a variable-coefficient operator; r's boundary ring is
-/// zeroed.  The Poisson fast path dispatches to residual(), bit-for-bit;
-/// the kernel policy selects legacy vs packed sweeps as in apply_op.
+/// zeroed.  The Poisson fast path dispatches to residual(), bit-for-bit.
+/// `kernels` must name the legacy layout (validate_kernel_policy throws
+/// InvalidArgument otherwise).
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
@@ -59,8 +57,7 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
 void residual_op_multi(const StencilOp& op,
                        std::span<const Grid2D* const> xs,
                        std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched,
-                       const KernelPolicy& kernels = {});
+                       std::span<Grid2D* const> rs, rt::Scheduler& sched);
 
 /// Full-weighting restriction of the fine interior onto the coarse grid:
 /// coarse(I,J) = 1/16 · [1 2 1; 2 4 2; 1 2 1] stencil at fine (2I, 2J).

@@ -1,12 +1,9 @@
 #include "grid/stencil_op.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
 
 #include "grid/level.h"
-#include "grid/packed_stencil.h"
 
 namespace pbmg::grid {
 
@@ -104,33 +101,9 @@ StencilLayout parse_stencil_layout(const std::string& name) {
 }
 
 void validate_kernel_policy(const KernelPolicy& policy) {
-  // A deserialized byte is not necessarily a valid enumerator.
-  (void)to_string(policy.layout);
-  PBMG_CHECK(policy.simd_width == 1 || policy.simd_width == 2 ||
-                 policy.simd_width == 4,
-             "kernel policy: simd_width must be 1, 2 or 4");
-}
-
-/// Shared lazily-packed coefficients: every copy of a StencilOp holds the
-/// same slot, so a level is packed at most once process-wide no matter how
-/// many sessions, executors or search candidates sweep it.
-struct StencilOp::PackedSlot {
-  std::once_flag once;
-  PackedStencil packed;
-  /// Published size of `packed`, readable without synchronizing on `once`
-  /// (footprint accounting must not race a concurrent first pack).
-  std::atomic<std::size_t> bytes{0};
-};
-
-const PackedStencil& StencilOp::packed() const {
-  PBMG_CHECK(packed_slot_ != nullptr,
-             "StencilOp::packed: Poisson fast path has nothing to pack");
-  std::call_once(packed_slot_->once, [this] {
-    packed_slot_->packed = PackedStencil::pack(*this);
-    packed_slot_->bytes.store(packed_slot_->packed.bytes(),
-                              std::memory_order_release);
-  });
-  return packed_slot_->packed;
+  // Also catches a deserialized byte that is no valid enumerator.
+  PBMG_CHECK(policy.layout == StencilLayout::kLegacy,
+             "kernel policy: only the legacy stencil layout is implemented");
 }
 
 std::size_t StencilOp::bytes() const {
@@ -140,12 +113,6 @@ std::size_t StencilOp::bytes() const {
   }
   if (corner_ != nullptr) {
     total += 3 * corner_->ase.size() * sizeof(double);
-  }
-  // An unpacked legacy-layout operator genuinely holds no packed block
-  // yet, so bytes() may grow after the first packed sweep; sessions
-  // compute their footprint post-prewarm.
-  if (packed_slot_ != nullptr) {
-    total += packed_slot_->bytes.load(std::memory_order_acquire);
   }
   return total;
 }
@@ -171,7 +138,6 @@ StencilOp StencilOp::variable(Grid2D ax, Grid2D ay, double c) {
   coeff->ax = std::move(ax);
   coeff->ay = std::move(ay);
   op.coeff_ = std::move(coeff);
-  op.packed_slot_ = std::make_shared<PackedSlot>();
   return op;
 }
 
@@ -197,7 +163,6 @@ StencilOp StencilOp::nine_point(Grid2D ax, Grid2D ay, Grid2D ase, Grid2D asw,
   corner->asw = std::move(asw);
   corner->center = std::move(center);
   op.corner_ = std::move(corner);
-  op.packed_slot_ = std::make_shared<PackedSlot>();
   return op;
 }
 
@@ -480,16 +445,6 @@ bool StencilHierarchy::is_poisson() const {
     if (!ops_[k].is_poisson()) return false;
   }
   return !ops_.empty();
-}
-
-void StencilHierarchy::prewarm_packed() const {
-  for (std::size_t k = 1; k < ops_.size(); ++k) {
-    // Poisson levels dispatch to the dedicated constant-coefficient
-    // kernels under either layout, so there is nothing to pack; every
-    // other level (including RAP coarsenings of a Poisson fine operator,
-    // which are 9-point) packs here.
-    if (!ops_[k].is_poisson()) (void)ops_[k].packed();
-  }
 }
 
 std::size_t StencilHierarchy::bytes() const {

@@ -73,8 +73,6 @@
 
 namespace pbmg::grid {
 
-class PackedStencil;
-
 /// How coarse-grid operators are formed — a tuned choice dimension (see
 /// file comment).  Serialized in tuned tables as "avg" / "rap"; a missing
 /// field reads as the legacy kAverage.
@@ -90,16 +88,14 @@ std::string to_string(Coarsening mode);
 /// anything else.
 Coarsening parse_coarsening(const std::string& name);
 
-/// How the sweep kernels read a level's coefficients — a tuned choice
-/// dimension like Coarsening.  kLegacy streams the separate n×n grids;
-/// kPacked streams the interleaved SoA row blocks of grid::PackedStencil
-/// (see packed_stencil.h) with SIMD inner loops.  Both produce bitwise
-/// identical results; only the memory traffic differs, so the tuner picks
-/// per (machine × operator family × size).  Serialized as "legacy" /
-/// "packed"; a missing field reads as kLegacy.
+/// How the sweep kernels read a level's coefficients.  kLegacy — the
+/// separate per-grid coefficient streams — is the only layout the kernels
+/// implement.  kPacked names the retired interleaved layout, which older
+/// searched profiles and external tools still spell "packed"; every entry
+/// point that takes a KernelPolicy rejects it (validate_kernel_policy).
 enum class StencilLayout {
-  kLegacy,  ///< separate coefficient grids, scalar sweeps (the seed path)
-  kPacked,  ///< interleaved SoA row blocks + SIMD sweeps
+  kLegacy,  ///< separate coefficient grids, scalar sweeps
+  kPacked,  ///< retired interleaved layout; rejected wherever it is passed
 };
 
 /// Stable names used in tuned tables and cache keys: "legacy", "packed".
@@ -109,20 +105,15 @@ std::string to_string(StencilLayout layout);
 /// anything else.
 StencilLayout parse_stencil_layout(const std::string& name);
 
-/// The kernel-implementation choices a sweep runs under, carried alongside
-/// the algorithmic tunables (solvers::RelaxTunables holds one, VCycleOptions
-/// forwards it).  simd_width is the *requested* lane count in {1, 2, 4};
-/// the dispatcher clamps it to what the running CPU supports — safe because
-/// every width is bitwise identical, so clamping never changes results.
-/// Width only matters under kPacked (legacy sweeps ignore it).
+/// The kernel-implementation choice a sweep runs under, carried alongside
+/// the algorithmic tunables (solvers::RelaxTunables holds one).
 struct KernelPolicy {
   StencilLayout layout = StencilLayout::kLegacy;
-  int simd_width = 1;
 };
 
-/// Throws InvalidArgument unless layout is a valid enumerator and
-/// simd_width ∈ {1, 2, 4}.  Shared by solvers::validate_relax_tunables and
-/// the search deserializers.
+/// Throws InvalidArgument unless policy.layout is kLegacy.  Shared by
+/// solvers::validate_relax_tunables, the search deserializers and every
+/// kernel that accepts a KernelPolicy.
 void validate_kernel_policy(const KernelPolicy& policy);
 
 /// A variable-coefficient 5- or 9-point operator (see file comment).
@@ -260,18 +251,8 @@ class StencilOp {
   /// Dispatch helper: restricted() or galerkin_coarse() by mode.
   StencilOp coarsened(Coarsening mode) const;
 
-  /// The operator's packed (SoA-block) coefficients, built on first call
-  /// and cached in the slot every copy of this operator shares — so a
-  /// hierarchy packs each level at most once no matter how many sessions
-  /// run it.  Thread-safe (std::call_once); requires !is_poisson() (the
-  /// fast path dispatches to the legacy Poisson kernels before packing is
-  /// ever consulted).
-  const PackedStencil& packed() const;
-
-  /// Heap bytes held by this operator's coefficient grids plus its packed
-  /// block if one has been built (0 for the Poisson fast path).  Safe to
-  /// call concurrently with a first pack(); counts what is resident *now*,
-  /// so callers that budget against it should measure after prewarming.
+  /// Heap bytes held by this operator's coefficient grids (0 for the
+  /// Poisson fast path).
   std::size_t bytes() const;
 
  private:
@@ -284,13 +265,11 @@ class StencilOp {
     Grid2D asw;
     Grid2D center;
   };
-  struct PackedSlot;  // once_flag + PackedStencil, defined in the .cpp
 
   int n_ = 0;
   double c_ = 0.0;
   std::shared_ptr<const Coefficients> coeff_;  ///< null ⇒ Poisson fast path
   std::shared_ptr<const CornerCoefficients> corner_;  ///< null ⇒ 5-point
-  std::shared_ptr<PackedSlot> packed_slot_;  ///< null ⇒ Poisson fast path
 };
 
 /// Row-pointer view of a 9-point operator's coefficients around grid row
@@ -365,12 +344,6 @@ class StencilHierarchy {
 
   /// Operator at recursion level `level` in [1, top_level].
   const StencilOp& at(int level) const;
-
-  /// Packs every non-Poisson level's coefficients now (idempotent, shared
-  /// with every copy of the ladder), so a kPacked solve never pays the
-  /// packing cost inside a timed sweep.  Sessions and the profile-search
-  /// setup call this ahead of racing candidates.
-  void prewarm_packed() const;
 
   /// Sum of StencilOp::bytes() over the ladder — the coefficient-side
   /// footprint a session pays to keep this hierarchy resident.

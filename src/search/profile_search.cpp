@@ -59,17 +59,6 @@ ParamSpace make_profile_space(const rt::MachineProfile& base,
   // where the averaged ladder misrepresents the operator, so a relax_only
   // search must still be able to flip it.
   space.add_categorical("coarsening", {"avg", "rap"}, /*default_index=*/0);
-  // Kernel implementation axes (grid/stencil_op.h KernelPolicy): the
-  // coefficient layout the sweeps stream (legacy per-grid vs packed
-  // SoA blocks) and the SIMD lane count of the packed kernels.  Both are
-  // bitwise result-invariant — pure memory-traffic/ILP knobs — so the
-  // tuner races them like any machine parameter; they sit in the
-  // relaxation group because the win is operator-family-dependent (the
-  // packed layout pays off on the 9-point/RAP ladders where legacy
-  // sweeps stream nine separate grids).  Widths the CPU lacks are
-  // clamped at dispatch (clamp_simd_width), also result-invariant.
-  space.add_categorical("layout", {"legacy", "packed"}, /*default_index=*/0);
-  space.add_categorical("simd_width", {"1", "2", "4"}, /*default_index=*/0);
   return space;
 }
 
@@ -95,10 +84,6 @@ RuntimeParams decode_runtime_params(const ParamSpace& space,
       space.categorical_value(candidate, "smoother"));
   params.coarsening = grid::parse_coarsening(
       space.categorical_value(candidate, "coarsening"));
-  params.relax.kernels.layout = grid::parse_stencil_layout(
-      space.categorical_value(candidate, "layout"));
-  params.relax.kernels.simd_width =
-      std::stoi(space.categorical_value(candidate, "simd_width"));
   return params;
 }
 
@@ -115,8 +100,6 @@ Json SearchedProfile::to_json() const {
   j.set("omega_scale", relax.omega_scale);
   j.set("smoother", solvers::to_string(relax.smoother));
   j.set("coarsening", grid::to_string(coarsening));
-  j.set("layout", grid::to_string(relax.kernels.layout));
-  j.set("simd_width", std::int64_t{relax.kernels.simd_width});
   j.set("default_seconds", finite_cap(default_seconds));
   j.set("searched_seconds", finite_cap(searched_seconds));
   j.set("evaluations", std::int64_t{evaluations});
@@ -138,12 +121,12 @@ SearchedProfile SearchedProfile::from_json(const Json& json) {
         json.get("smoother", std::string("point_rb")));
     out.coarsening = grid::parse_coarsening(
         json.get("coarsening", std::string("avg")));
-    // Documents from before the kernel-policy axes read as the legacy
-    // scalar kernels.
+    // Documents written while a packed layout existed may carry a
+    // "layout" field: "legacy" reads as today's kernels, "packed" is
+    // rejected by validate_relax_tunables.  Their lane-count field is
+    // ignored.
     out.relax.kernels.layout = grid::parse_stencil_layout(
         json.get("layout", std::string("legacy")));
-    out.relax.kernels.simd_width =
-        static_cast<int>(json.get("simd_width", std::int64_t{1}));
     solvers::validate_relax_tunables(out.relax);
   } catch (const InvalidArgument& e) {
     throw ConfigError(std::string("searched profile: ") + e.what());
@@ -180,11 +163,6 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
   const grid::StencilOp op = make_operator(n, options.op_family);
   const grid::StencilHierarchy ops(op);
   const grid::StencilHierarchy ops_rap(op, grid::Coarsening::kRap);
-  // Candidates flip the packed-layout axis freely; pack both ladders once
-  // up front so no candidate's timed sweeps pay the one-time O(n²) pack
-  // (a no-op for Poisson levels, which keep their dedicated kernels).
-  ops.prewarm_packed();
-  ops_rap.prewarm_packed();
   Rng rng(options.seed);
   auto instances =
       tune::make_training_set(op, options.distribution, rng.split(0x5EA7C4),
@@ -233,10 +211,9 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
       const double t0 = now_seconds();
       if (solvers::is_line_relax(smoother)) {
         solvers::line_relax_sweep(op, x, inst.problem.b, smoother, sched,
-                                  engine.scratch(), params.relax.kernels);
+                                  engine.scratch());
       } else {
-        solvers::sor_sweep(op, x, inst.problem.b, sor_omega, sched,
-                           params.relax.kernels);
+        solvers::sor_sweep(op, x, inst.problem.b, sor_omega, sched);
       }
       elapsed += now_seconds() - t0;
       if (deadline.expired()) return kInf;
@@ -250,7 +227,6 @@ SearchedProfile search_profile(const ProfileSearchOptions& options) {
     solvers::VCycleOptions vopts;
     vopts.omega = params.relax.recurse_omega;
     vopts.relaxation = smoother;
-    vopts.kernels = params.relax.kernels;
     // The candidate's coarsening picks which prebuilt ladder the V-cycle
     // phase corrects against (both share the fine operator, so the SOR
     // phase above is unaffected).

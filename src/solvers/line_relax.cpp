@@ -1,7 +1,6 @@
 #include "solvers/line_relax.h"
 
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 
 namespace pbmg::solvers {
 
@@ -351,21 +350,13 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels) {
+  grid::validate_kernel_policy(kernels);
   if (op.is_poisson()) {
     line_relax_sweep(x, b, kind, sched, pool);
     return;
   }
   check_line_operands(x, b, kind);
   PBMG_CHECK(op.n() == x.n(), "line_relax_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_x(op, x, b, sched, pool, kernels.simd_width);
-    }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_y(op, x, b, sched, pool, kernels.simd_width);
-    }
-    return;
-  }
   const bool nine = op.is_nine_point();
   if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
     if (nine) line_x_nine(op, x, b, sched, pool);
@@ -380,42 +371,15 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,
-                            rt::Scheduler& sched, grid::ScratchPool& pool,
-                            const grid::KernelPolicy& kernels) {
+                            rt::Scheduler& sched, grid::ScratchPool& pool) {
   PBMG_CHECK(xs.size() == bs.size(),
              "line_relax_sweep_multi: span size mismatch");
   for (std::size_t k = 0; k < xs.size(); ++k) {
     PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
                "line_relax_sweep_multi: null grid slot");
   }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    line_relax_sweep(op, *xs[0], *bs[0], kind, sched, pool, kernels);
-    return;
-  }
-  if (!op.is_poisson() &&
-      kernels.layout == grid::StencilLayout::kPacked) {
-    // The Thomas pivots depend only on the operator: factor each line
-    // group once and replay the rhs recurrence per iterate
-    // (grid/packed_kernels.h), instead of re-dividing K times.  The
-    // zebra order per iterate (x pass then y pass, odd lines then even)
-    // is preserved inside each fused pass, so every slot stays bitwise
-    // identical to its solo sweep.
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      check_line_operands(*xs[k], *bs[k], kind);
-      PBMG_CHECK(op.n() == xs[k]->n(),
-                 "line_relax_sweep_multi: operator/grid size mismatch");
-    }
-    if (kind == RelaxKind::kLineX || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_x_multi(op, xs, bs, sched, pool, kernels.simd_width);
-    }
-    if (kind == RelaxKind::kLineY || kind == RelaxKind::kLineZebraAlt) {
-      grid::packed_line_y_multi(op, xs, bs, sched, pool, kernels.simd_width);
-    }
-    return;
-  }
   for (std::size_t k = 0; k < xs.size(); ++k) {
-    line_relax_sweep(op, *xs[k], *bs[k], kind, sched, pool, kernels);
+    line_relax_sweep(op, *xs[k], *bs[k], kind, sched, pool);
   }
 }
 

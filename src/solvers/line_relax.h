@@ -58,10 +58,8 @@ void line_relax_sweep(Grid2D& x, const Grid2D& b, RelaxKind kind,
 /// Variable-coefficient overload: the tridiagonal bands carry the true
 /// per-edge coefficients (sub = −aW, sup = −aE for rows; −aN/−aS for
 /// columns) and the full diagonal (aW+aE+aN+aS)/h² + c.  The Poisson
-/// fast path dispatches to the overload above, bit-for-bit.  A
-/// KernelPolicy selecting the packed layout runs the batched-Thomas SIMD
-/// line solves (grid/packed_kernels.h), vectorized across independent
-/// same-parity lines and bitwise identical to legacy.  Requires
+/// fast path dispatches to the overload above, bit-for-bit.  `kernels`
+/// must name the legacy layout (grid::validate_kernel_policy).  Requires
 /// op.n() == x.n().
 void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       RelaxKind kind, rt::Scheduler& sched,
@@ -77,7 +75,6 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 void line_relax_sweep_multi(const grid::StencilOp& op,
                             std::span<Grid2D* const> xs,
                             std::span<const Grid2D* const> bs, RelaxKind kind,
-                            rt::Scheduler& sched, grid::ScratchPool& pool,
-                            const grid::KernelPolicy& kernels = {});
+                            rt::Scheduler& sched, grid::ScratchPool& pool);
 
 }  // namespace pbmg::solvers

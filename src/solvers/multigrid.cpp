@@ -25,15 +25,14 @@ void smooth(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
     case RelaxKind::kSor:
       for (int s = 0; s < sweeps; ++s) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        sor_sweep(op, x, b, options.omega, sched, options.kernels);
+        sor_sweep(op, x, b, options.omega, sched);
       }
       break;
     case RelaxKind::kJacobi: {
       auto scratch_lease = pool.acquire(x.n());
       for (int s = 0; s < sweeps; ++s) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        jacobi_sweep(op, x, b, kJacobiOmega, scratch_lease.get(), sched,
-                     options.kernels);
+        jacobi_sweep(op, x, b, kJacobiOmega, scratch_lease.get(), sched);
       }
       break;
     }
@@ -44,8 +43,7 @@ void smooth(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
       // Gauss-Seidel step (see line_relax.h).
       for (int s = 0; s < sweeps; ++s) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kLineSolve, level);
-        line_relax_sweep(op, x, b, options.relaxation, sched, pool,
-                         options.kernels);
+        line_relax_sweep(op, x, b, options.relaxation, sched, pool);
       }
       break;
   }
@@ -71,7 +69,7 @@ void vcycle_impl(const grid::StencilHierarchy* ops, Grid2D& x,
   Grid2D& rc = rc_lease.get();  // restriction writes interior + zeros ring
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op, x, b, r, sched, options.kernels);
+    grid::residual_op(op, x, b, r, sched);
     grid::restrict_full_weighting(r, rc, sched);
   }
   // Error equation on the coarse grid: zero initial guess, zero Dirichlet

@@ -32,11 +32,6 @@ struct VCycleOptions {
   double omega = kRecurseOmega;  ///< relaxation weight (paper: 1.15)
   int direct_level = 1;          ///< recursion level solved directly (1 ⇒ N=3)
   RelaxKind relaxation = RelaxKind::kSor;  ///< smoother (paper: SOR)
-  /// Kernel implementation policy for the smoothing and residual sweeps
-  /// (grid/stencil_op.h): legacy streaming vs the packed SoA layout plus
-  /// SIMD width.  Bitwise result-invariant; affects Poisson cycles not at
-  /// all (the fast path keeps its dedicated kernels).
-  grid::KernelPolicy kernels;
   /// Optional per-(level, phase) wall-time sink (obs/phase_profile.h);
   /// null — the default — keeps the cycle free of clock reads.
   obs::PhaseProfile* profile = nullptr;

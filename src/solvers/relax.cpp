@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 
 namespace pbmg::solvers {
 
@@ -185,6 +184,7 @@ void jacobi_sweep_nine(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels) {
+  grid::validate_kernel_policy(kernels);
   if (op.is_poisson()) {
     sor_sweep(x, b, omega, sched);
     return;
@@ -192,10 +192,6 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   PBMG_CHECK(is_valid_grid_size(x.n()), "sor_sweep: grid size must be 2^k+1");
   PBMG_CHECK(x.n() == b.n(), "sor_sweep: grid size mismatch");
   PBMG_CHECK(op.n() == x.n(), "sor_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep(op, x, b, omega, sched, kernels.simd_width);
-    return;
-  }
   if (op.is_nine_point()) {
     sor_sweep_nine(op, x, b, omega, sched);
     return;
@@ -358,8 +354,7 @@ void sor_sweep_5pt_multi(const grid::StencilOp& op,
 
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
-                     rt::Scheduler& sched,
-                     const grid::KernelPolicy& kernels) {
+                     rt::Scheduler& sched) {
   PBMG_CHECK(xs.size() == bs.size(), "sor_sweep_multi: span size mismatch");
   if (xs.empty()) return;
   for (std::size_t k = 0; k < xs.size(); ++k) {
@@ -370,7 +365,7 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
   }
   if (xs.size() == 1) {
     // Batch-of-one takes the solo code path, not merely an equivalent one.
-    sor_sweep(op, *xs[0], *bs[0], omega, sched, kernels);
+    sor_sweep(op, *xs[0], *bs[0], omega, sched);
     return;
   }
   if (op.is_poisson()) {
@@ -379,11 +374,6 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
   }
   PBMG_CHECK(is_valid_grid_size(op.n()),
              "sor_sweep_multi: grid size must be 2^k+1");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_sor_sweep_multi(op, xs, bs, omega, sched,
-                                 kernels.simd_width);
-    return;
-  }
   if (op.is_nine_point()) {
     sor_sweep_nine_multi(op, xs, bs, omega, sched);
     return;
@@ -392,8 +382,7 @@ void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
 }
 
 void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                  double omega, Grid2D& scratch, rt::Scheduler& sched,
-                  const grid::KernelPolicy& kernels) {
+                  double omega, Grid2D& scratch, rt::Scheduler& sched) {
   if (op.is_poisson()) {
     jacobi_sweep(x, b, omega, scratch, sched);
     return;
@@ -403,11 +392,6 @@ void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   PBMG_CHECK(x.n() == b.n() && x.n() == scratch.n(),
              "jacobi_sweep: grid size mismatch");
   PBMG_CHECK(op.n() == x.n(), "jacobi_sweep: operator/grid size mismatch");
-  if (kernels.layout == grid::StencilLayout::kPacked) {
-    grid::packed_jacobi_sweep(op, x, b, omega, scratch, sched,
-                              kernels.simd_width);
-    return;
-  }
   if (op.is_nine_point()) {
     jacobi_sweep_nine(op, x, b, omega, scratch, sched);
     return;

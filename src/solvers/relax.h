@@ -95,16 +95,14 @@ struct RelaxTunables {
   /// takes precedence; the paper-faithful reference drivers keep point
   /// SOR regardless.
   RelaxKind smoother = RelaxKind::kSor;
-  /// Searched kernel implementation policy (the "layout" / "simd_width"
-  /// axes of make_profile_space): legacy per-grid streaming vs the packed
-  /// SoA-block layout and its SIMD lane count.  Bitwise result-invariant —
-  /// this axis trades memory traffic only — so the tuner is free to race
-  /// it like any other runtime parameter.
+  /// Kernel implementation policy; only the legacy layout is implemented,
+  /// and validate_relax_tunables rejects any other.
   grid::KernelPolicy kernels;
 };
 
-/// Throws InvalidArgument unless 0 < recurse_omega < 2 and
-/// 0.1 <= omega_scale <= 1.5 (SOR diverges outside (0, 2)).  Shared by
+/// Throws InvalidArgument unless 0 < recurse_omega < 2,
+/// 0.1 <= omega_scale <= 1.5 (SOR diverges outside (0, 2)) and the kernel
+/// policy names the legacy layout.  Shared by
 /// Engine, TunedExecutor and the search subsystem's deserializers so they
 /// can never drift apart.
 void validate_relax_tunables(const RelaxTunables& tunables);
@@ -129,9 +127,8 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 /// Red-black SOR sweep for a variable-coefficient operator: each update
 /// divides by the cell's true diagonal (aW+aE+aN+aS)/h² + c instead of the
 /// Poisson 4/h².  The Poisson fast path dispatches to sor_sweep above,
-/// bit-for-bit.  A KernelPolicy selecting the packed layout runs the SoA
-/// SIMD sweep (grid/packed_kernels.h), bitwise identical to legacy.
-/// Requires x.n() == op.n().
+/// bit-for-bit.  `kernels` must name the legacy layout
+/// (grid::validate_kernel_policy).  Requires x.n() == op.n().
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels = {});
@@ -142,19 +139,16 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
 /// the bandwidth amortization batched serving buys.  The K iterates never
 /// couple, and each k's update order is exactly the solo sor_sweep order,
 /// so every slot is bitwise identical to K separate calls under any
-/// thread count.  Dispatches Poisson / packed / 9-point / 5-point like
-/// the solo overload.  Requires equal span sizes and all grids matching
+/// thread count.  Dispatches Poisson / 9-point / 5-point like the solo
+/// overload.  Requires equal span sizes and all grids matching
 /// op.n().
 void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
                      std::span<const Grid2D* const> bs, double omega,
-                     rt::Scheduler& sched,
-                     const grid::KernelPolicy& kernels = {});
+                     rt::Scheduler& sched);
 
 /// Weighted-Jacobi sweep for a variable-coefficient operator; same
-/// diagonal handling, fast-path and kernel-policy contract as the SOR
-/// overload.
+/// diagonal handling and fast-path contract as the SOR overload.
 void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
-                  double omega, Grid2D& scratch, rt::Scheduler& sched,
-                  const grid::KernelPolicy& kernels = {});
+                  double omega, Grid2D& scratch, rt::Scheduler& sched);
 
 }  // namespace pbmg::solvers

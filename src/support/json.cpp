@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "support/error.h"
 
@@ -15,6 +16,11 @@ namespace {
 [[noreturn]] void type_error(const char* expected) {
   throw ConfigError(std::string("JSON value is not ") + expected);
 }
+
+/// Deepest array/object nesting a document may have.  The parser recurses
+/// once per level, so an unbounded depth lets a hostile file overflow the
+/// stack; tuned tables and cache entries nest fewer than 10 levels.
+constexpr int kMaxNestingDepth = 256;
 
 /// Recursive-descent JSON parser with line/column diagnostics.
 class Parser {
@@ -34,9 +40,16 @@ class Parser {
     if (pos_ >= text_.size()) fail("unexpected end of input");
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxNestingDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxNestingDepth) +
+               " levels");
+        }
+        ++depth_;
+        Json v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -251,6 +264,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 void dump_string(std::string& out, const std::string& s) {

@@ -80,7 +80,8 @@ class Json {
   std::string dump(int indent = 0) const;
 
   /// Parses a JSON document.  Throws pbmg::ConfigError with a line/column
-  /// diagnostic on malformed input.
+  /// diagnostic on malformed input, including arrays/objects nested more
+  /// than 256 levels deep.
   static Json parse(const std::string& text);
 
   /// Convenience: empty object / empty array factories.

@@ -25,7 +25,7 @@ obs::LatencyBaseline measure_latency_baseline(Engine& engine,
   for (int level = std::max(2, options.min_level); level <= top; ++level) {
     const int n = size_of_level(level);
     // A real session, so the measurement includes exactly what serving
-    // includes (prewarmed hierarchies, packed layouts) and excludes what
+    // includes (prewarmed hierarchies and scratch) and excludes what
     // serving excludes (first-touch allocation bursts).
     SolveSession session(engine, config, make_operator(n, family));
     Rng level_rng = rng.split(static_cast<std::uint64_t>(level));

@@ -49,19 +49,22 @@ std::string config_cache_key(const TrainerOptions& options,
                              const std::string& profile_name,
                              const std::string& strategy) {
   std::ostringstream oss;
-  // "v7": bump when runtime characteristics change enough to invalidate
+  // "v8": bump when runtime characteristics change enough to invalidate
   // previously tuned tables (v2 → v3: scenarios became first-class — the
   // operator family joined the key via ProblemSpec; v3 → v4: the smoother
   // became a tuned per-level choice; v4 → v5: coarsening became a tuned
   // per-level choice — tables gained the Galerkin-RAP axis; v5 → v6: the
   // kernel policy joined the searched-profile schema — the layout and
-  // simd_width axes change the candidate stream and the timings behind
+  // SIMD-width axes change the candidate stream and the timings behind
   // every stored table, so every v5 entry is a clean miss and gets
   // retrained with the packed-kernel dimensions enabled; v6 → v7:
   // searched entries gained the "latency_baseline" section — the tuned
   // tables' healthy latency distribution, which the serving-time drift
-  // watcher needs, so baseline-less v6 entries are clean misses).
-  oss << "v7_" << strategy << "_" << profile_name << "_"
+  // watcher needs, so baseline-less v6 entries are clean misses; v7 → v8:
+  // the packed layout and its layout / SIMD-width axes left the searched
+  // space, which changes every searched candidate stream, so v7 entries
+  // are clean misses).
+  oss << "v8_" << strategy << "_" << profile_name << "_"
       << options.problem_spec().cache_token() << "_m"
       << options.accuracies.size() << "_p"
       << static_cast<int>(std::lround(std::log10(options.accuracies.back())))

@@ -146,7 +146,7 @@ int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
           solvers::scaled_omega_opt(x.n(), relax_.omega_scale);
       for (int it = 0; it < entry.choice.iterations; ++it) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        solvers::sor_sweep(op, x, b, omega, sched_, relax_.kernels);
+        solvers::sor_sweep(op, x, b, omega, sched_);
       }
       trace(trace::Op::kIterative, level, entry.choice.iterations);
       return entry.choice.iterations;
@@ -187,10 +187,9 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
   const auto relax_once = [&] {
     obs::ScopedPhaseTimer timer(profile, relax_phase, level);
     if (solvers::is_line_relax(smoother)) {
-      solvers::line_relax_sweep(op, x, b, smoother, sched_, pool_,
-                                relax_.kernels);
+      solvers::line_relax_sweep(op, x, b, smoother, sched_, pool_);
     } else {
-      solvers::sor_sweep(op, x, b, recurse_omega, sched_, relax_.kernels);
+      solvers::sor_sweep(op, x, b, recurse_omega, sched_);
     }
   };
   relax_once();
@@ -204,7 +203,7 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
   Grid2D& rc = rc_lease.get();  // restriction writes interior + zeros ring
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op, x, b, r, sched_, relax_.kernels);
+    grid::residual_op(op, x, b, r, sched_);
     grid::restrict_full_weighting(r, rc, sched_);
   }
   trace(trace::Op::kRestrict, level);
@@ -270,7 +269,7 @@ int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
           solvers::scaled_omega_opt(xs[0]->n(), relax_.omega_scale);
       for (int it = 0; it < entry.choice.iterations; ++it) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        solvers::sor_sweep_multi(op, xs, bs, omega, sched_, relax_.kernels);
+        solvers::sor_sweep_multi(op, xs, bs, omega, sched_);
       }
       trace(trace::Op::kIterative, level, entry.choice.iterations);
       return entry.choice.iterations;
@@ -311,11 +310,9 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   const auto relax_once = [&] {
     obs::ScopedPhaseTimer timer(profile, relax_phase, level);
     if (solvers::is_line_relax(smoother)) {
-      solvers::line_relax_sweep_multi(op, xs, bs, smoother, sched_, pool_,
-                                      relax_.kernels);
+      solvers::line_relax_sweep_multi(op, xs, bs, smoother, sched_, pool_);
     } else {
-      solvers::sor_sweep_multi(op, xs, bs, recurse_omega, sched_,
-                               relax_.kernels);
+      solvers::sor_sweep_multi(op, xs, bs, recurse_omega, sched_);
     }
   };
   relax_once();
@@ -338,7 +335,7 @@ void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
   }
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op_multi(op, xs_read, bs, rs, sched_, relax_.kernels);
+    grid::residual_op_multi(op, xs_read, bs, rs, sched_);
     for (std::size_t k = 0; k < batch; ++k) {
       grid::restrict_full_weighting(*rs[k], *rcs[k], sched_);
     }
@@ -405,7 +402,7 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
           solvers::scaled_omega_opt(x.n(), relax_.omega_scale);
       for (int it = 0; it < entry.choice.iterations; ++it) {
         obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        solvers::sor_sweep(op, x, b, omega, sched_, relax_.kernels);
+        solvers::sor_sweep(op, x, b, omega, sched_);
       }
       trace(trace::Op::kIterative, level, entry.choice.iterations);
       return entry.choice.iterations;
@@ -442,7 +439,7 @@ void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
     grid::residual_op(op_at(level, grid::Coarsening::kAverage, rap), x, b, r,
-                      sched_, relax_.kernels);
+                      sched_);
     grid::restrict_full_weighting(r, rc, sched_);
   }
   trace(trace::Op::kRestrict, level);

@@ -206,7 +206,7 @@ TEST(ProblemSpecKey, OldV3SmootherlessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v3schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   EXPECT_NE(new_key.find("_sm"), std::string::npos);
   // The exact v3 layout for tiny_options (see PR 3's config_cache.cpp):
   // v3_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_s<seed>.
@@ -229,18 +229,49 @@ TEST(ProblemSpecKey, OldV3SmootherlessSchemaIsACleanMiss) {
 TEST(ProblemSpecKey, OldV6BaselinelessSchemaIsACleanMiss) {
   // v6 keys predate the latency-baseline section (ISSUE 8): their
   // searched entries carry no "latency_baseline", so they cannot seed a
-  // drift watcher.  The v7 prefix guarantees the old filename never
+  // drift watcher.  The current prefix guarantees the old filename never
   // matches: retrain, store beside the legacy file, leave it untouched.
   const auto dir = fresh_dir("pbmg_cc_v6schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   // The exact v6 layout for tiny_options (see PR 7's config_cache.cpp):
   // v6_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
   // s<seed>_sm<smoothers>_co<coarsenings>.
   const std::string old_key =
       "v6_autotuned_serial_poisson_unbiased_L3_m5_p9_i1_s99_smzxyp_cora";
   ASSERT_NE(new_key, old_key);
+  const auto old_path = dir / (old_key + ".json");
+  const std::string old_content = handmade_config().to_json().dump(2) + "\n";
+  write_text_file(old_path.string(), old_content);
+
+  bool from_cache = true;
+  const TunedConfig config =
+      load_or_train(options, engine(), dir.string(), -1, &from_cache);
+  EXPECT_FALSE(from_cache);
+  EXPECT_EQ(config.max_level(), options.max_level);
+  EXPECT_EQ(read_text_file(old_path.string()), old_content);
+  EXPECT_TRUE(std::filesystem::exists(dir / (new_key + ".json")));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ProblemSpecKey, OldV7PackedAxesSchemaIsACleanMiss) {
+  // v7 keys were written while the searched space still raced the packed
+  // coefficient layout and its SIMD width.  Dropping those axes changes
+  // every searched candidate stream, so a v7 entry must never match:
+  // retrain, store beside the legacy file, leave it untouched.
+  const auto dir = fresh_dir("pbmg_cc_v7schema");
+  const TrainerOptions options = tiny_options();
+  const std::string new_key = config_cache_key(options, "serial", "autotuned");
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
+  // The exact v7 layout for tiny_options:
+  // v7_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
+  // s<seed>_sm<smoothers>_co<coarsenings>.
+  const std::string old_key =
+      "v7_autotuned_serial_poisson_unbiased_L3_m5_p9_i1_s99_smzxyp_cora";
+  ASSERT_NE(new_key, old_key);
+  // Only the version prefix moved: the rest of the key is unchanged.
+  EXPECT_EQ(new_key.substr(2), old_key.substr(2));
   const auto old_path = dir / (old_key + ".json");
   const std::string old_content = handmade_config().to_json().dump(2) + "\n";
   write_text_file(old_path.string(), old_content);
@@ -265,7 +296,7 @@ TEST(ProblemSpecKey, OldV4CoarseninglessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v4schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   EXPECT_NE(new_key.find("_co"), std::string::npos);
   // The exact v4 layout for tiny_options (see PR 4's config_cache.cpp):
   // v4_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
@@ -296,7 +327,7 @@ TEST(ProblemSpecKey, OldV5KernelPolicylessSchemaIsACleanMiss) {
   const auto dir = fresh_dir("pbmg_cc_v5schema");
   const TrainerOptions options = tiny_options();
   const std::string new_key = config_cache_key(options, "serial", "autotuned");
-  EXPECT_EQ(new_key.rfind("v7_", 0), 0u);
+  EXPECT_EQ(new_key.rfind("v8_", 0), 0u);
   // The exact v5 layout for tiny_options (see PR 5's config_cache.cpp):
   // v5_<strategy>_<profile>_<op>_<dist>_L<level>_m<rungs>_p<exp>_i<n>_
   // s<seed>_sm<smoothers>_co<coarsenings>.
@@ -401,6 +432,14 @@ TEST_F(CorruptCacheTest, TruncatedDocument) {
 
 TEST_F(CorruptCacheTest, WrongSchema) {
   expect_miss_and_recover("schema", "[1, 2, 3]\n");
+}
+
+TEST_F(CorruptCacheTest, DeeplyNestedDocument) {
+  // A 100,000-deep array once overflowed the recursive parser's stack
+  // (SIGSEGV); the depth cap makes it an ordinary parse error, i.e. a
+  // clean miss.
+  expect_miss_and_recover("deep", std::string(100000, '[') +
+                                      std::string(100000, ']') + "\n");
 }
 
 TEST_F(CorruptCacheTest, UnrecognisedSmootherName) {

@@ -8,10 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/engine.h"
-#include "grid/grid_ops.h"
 #include "grid/level.h"
-#include "grid/packed_kernels.h"
 #include "grid/problem.h"
 #include "runtime/scheduler.h"
 #include "search/candidate_tester.h"
@@ -19,7 +16,6 @@
 #include "search/population.h"
 #include "search/profile_search.h"
 #include "solvers/direct.h"
-#include "solvers/line_relax.h"
 #include "solvers/relax.h"
 #include "support/rng.h"
 #include "support/timer.h"
@@ -359,31 +355,25 @@ TEST(ProfileSearch, SpaceDefaultsReproduceTheBaseProfile) {
   EXPECT_DOUBLE_EQ(params.relax.recurse_omega, solvers::kRecurseOmega);
   EXPECT_DOUBLE_EQ(params.relax.omega_scale, 1.0);
   EXPECT_EQ(params.relax.kernels.layout, grid::StencilLayout::kLegacy);
-  EXPECT_EQ(params.relax.kernels.simd_width, 1);
 }
 
-TEST(ProfileSearch, KernelPolicyAxesAreSearchedEvenRelaxOnly) {
-  // The layout / simd_width axes ride in the relaxation group (like the
-  // smoother and coarsening axes): a relax_only space must still race
-  // them, and their decoded values must land in RelaxTunables::kernels.
+TEST(ProfileSearch, KernelLayoutAxesAreGone) {
+  // The legacy kernels are the only layout, so the searched space has no
+  // layout or SIMD-width dimension to race, with or without the machine
+  // tunables, and every decoded candidate runs the legacy kernels.
   const rt::MachineProfile base;
   for (const bool machine : {true, false}) {
     const ParamSpace space = make_profile_space(base, machine);
-    Candidate candidate = space.default_candidate();
-    const auto index_of = [&](const std::string& name) {
-      const auto& dims = space.dimensions();
-      for (std::size_t d = 0; d < dims.size(); ++d) {
-        if (dims[d].name == name) return d;
-      }
-      ADD_FAILURE() << "missing dimension " << name
-                    << " (machine=" << machine << ")";
-      return std::size_t{0};
-    };
-    candidate.values[index_of("layout")] = 1.0;      // "packed"
-    candidate.values[index_of("simd_width")] = 2.0;  // "4"
-    const RuntimeParams params = decode_runtime_params(space, candidate, base);
-    EXPECT_EQ(params.relax.kernels.layout, grid::StencilLayout::kPacked);
-    EXPECT_EQ(params.relax.kernels.simd_width, 4);
+    for (const auto& dim : space.dimensions()) {
+      EXPECT_NE(dim.name, "layout") << "machine=" << machine;
+      EXPECT_NE(dim.name, "simd_width") << "machine=" << machine;
+    }
+    Rng rng(0x1A70);
+    for (int draw = 0; draw < 8; ++draw) {
+      const RuntimeParams params =
+          decode_runtime_params(space, space.random_candidate(rng), base);
+      EXPECT_EQ(params.relax.kernels.layout, grid::StencilLayout::kLegacy);
+    }
   }
 }
 
@@ -410,8 +400,6 @@ TEST(ProfileSearch, SearchedProfileJsonRoundTrip) {
   sp.seed = 1234;
   sp.generations = 4;
   sp.population = 3;
-  sp.relax.kernels.layout = grid::StencilLayout::kPacked;
-  sp.relax.kernels.simd_width = 4;
   const SearchedProfile back = SearchedProfile::from_json(sp.to_json());
   EXPECT_EQ(back.profile.name, sp.profile.name);
   EXPECT_EQ(back.profile.threads, sp.profile.threads);
@@ -423,23 +411,40 @@ TEST(ProfileSearch, SearchedProfileJsonRoundTrip) {
   EXPECT_EQ(back.seed, sp.seed);
   EXPECT_EQ(back.generations, sp.generations);
   EXPECT_EQ(back.population, sp.population);
-  EXPECT_EQ(back.relax.kernels.layout, grid::StencilLayout::kPacked);
-  EXPECT_EQ(back.relax.kernels.simd_width, 4);
+  EXPECT_EQ(back.relax.kernels.layout, grid::StencilLayout::kLegacy);
   // Out-of-range relax weights are rejected on load.
   Json bad = sp.to_json();
   bad.set("recurse_omega", 2.5);
   EXPECT_THROW(SearchedProfile::from_json(bad), ConfigError);
-  // Documents from before the kernel-policy axes read as legacy scalar
-  // kernels; invalid widths are rejected like any bad relax field.
-  Json old = sp.to_json();
-  old.as_object().erase("layout");
-  old.as_object().erase("simd_width");
-  const SearchedProfile migrated = SearchedProfile::from_json(old);
-  EXPECT_EQ(migrated.relax.kernels.layout, grid::StencilLayout::kLegacy);
-  EXPECT_EQ(migrated.relax.kernels.simd_width, 1);
-  Json bad_width = sp.to_json();
-  bad_width.set("simd_width", std::int64_t{3});
-  EXPECT_THROW(SearchedProfile::from_json(bad_width), ConfigError);
+}
+
+TEST(ProfileSearch, SearchedProfileJsonCarriesNoKernelLayout) {
+  // to_json no longer writes the retired layout / SIMD-width fields.
+  // Documents that still carry them load when the layout is missing or
+  // "legacy" (the width is ignored) and fail as a ConfigError when it is
+  // "packed", the layout the kernels no longer implement.
+  SearchedProfile sp;
+  sp.profile.name = "kernel-fields";
+  const Json doc = sp.to_json();
+  EXPECT_FALSE(doc.contains("layout"));
+  EXPECT_FALSE(doc.contains("simd_width"));
+  EXPECT_EQ(SearchedProfile::from_json(doc).relax.kernels.layout,
+            grid::StencilLayout::kLegacy);
+
+  Json legacy = sp.to_json();
+  legacy.set("layout", std::string("legacy"));
+  legacy.set("simd_width", std::int64_t{4});
+  EXPECT_EQ(SearchedProfile::from_json(legacy).relax.kernels.layout,
+            grid::StencilLayout::kLegacy);
+
+  Json packed = sp.to_json();
+  packed.set("layout", std::string("packed"));
+  packed.set("simd_width", std::int64_t{4});
+  EXPECT_THROW(SearchedProfile::from_json(packed), ConfigError);
+
+  Json unknown = sp.to_json();
+  unknown.set("layout", std::string("tiled"));
+  EXPECT_THROW(SearchedProfile::from_json(unknown), ConfigError);
 }
 
 TEST(ProfileSearch, EndToEndOnATinyWorkload) {
@@ -461,99 +466,6 @@ TEST(ProfileSearch, EndToEndOnATinyWorkload) {
   EXPECT_GT(searched.evaluations, 0);
   EXPECT_GT(searched.relax.recurse_omega, 0.0);
   EXPECT_LT(searched.relax.recurse_omega, 2.0);
-}
-
-// ------------------------------------------------ packed-layout discovery --
-
-/// The ISSUE-7 contract, mirroring the trainer's line-smoother discovery
-/// (tune_test's DiscoversLineSmootherAtExtremeAnisotropy): the layout /
-/// simd_width axes exist so the *search* can pick the packed SoA kernels
-/// where they pay — the fig20-class 9-point operators whose legacy sweeps
-/// stream nine separate coefficient grids.  The two arms are bitwise
-/// identical, so the outcome is decided purely by measured time; that
-/// makes the test machine-dependent by construction, and it calibrates
-/// the arms head-to-head first — when this machine shows no clear
-/// separation there is nothing to discover and the test skips rather
-/// than flakes.
-TEST(ProfileSearch, DiscoversPackedLayoutOnNinePointWork) {
-#ifdef PBMG_SANITIZER_BUILD
-  // At -O1 under sanitizer instrumentation the search objective is
-  // dominated by check overhead, not kernel memory traffic, so the raw
-  // sweep calibration below no longer predicts what the search measures
-  // inside full solves — the contract only holds under release codegen.
-  GTEST_SKIP() << "timing contract requires release codegen";
-#endif
-  const int level = 6;
-  const int n = size_of_level(level);
-  const OperatorFamily family = OperatorFamily::kAnisoTheta30;
-  const grid::StencilOp op = make_operator(n, family);
-  op.packed();  // prewarm: keep the one-time pack out of both arms
-  Engine eng(rt::MachineProfile{});
-  rt::Scheduler& sched = eng.scheduler();
-
-  grid::KernelPolicy packed;
-  packed.layout = grid::StencilLayout::kPacked;
-  packed.simd_width = grid::clamp_simd_width(4);
-
-  // The workload mix the profile search times on this family: residual
-  // formation plus point-SOR and zebra smoothing.  Best-of-3 batches so
-  // one scheduling hiccup cannot decide an arm.
-  const auto time_arm = [&](const grid::KernelPolicy& k) {
-    Rng rng(0xCA11B);
-    Grid2D x(n, 0.0);
-    Grid2D b(n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        x(i, j) = rng.uniform(-1.0, 1.0);
-        b(i, j) = rng.uniform(-1.0, 1.0);
-      }
-    }
-    Grid2D r(n, 0.0);
-    double best = kInf;
-    for (int batch = 0; batch < 3; ++batch) {
-      const double t0 = now_seconds();
-      for (int rep = 0; rep < 10; ++rep) {
-        grid::residual_op(op, x, b, r, sched, k);
-        solvers::sor_sweep(op, x, b, 1.15, sched, k);
-        solvers::line_relax_sweep(op, x, b,
-                                  solvers::RelaxKind::kLineZebraAlt, sched,
-                                  eng.scratch(), k);
-      }
-      best = std::min(best, now_seconds() - t0);
-    }
-    return best;
-  };
-  time_arm(grid::KernelPolicy{});  // warm caches/pools before either arm
-  const double legacy_seconds = time_arm(grid::KernelPolicy{});
-  const double packed_seconds = time_arm(packed);
-  const bool packed_faster = packed_seconds * 1.2 < legacy_seconds;
-  const bool legacy_faster = legacy_seconds * 1.2 < packed_seconds;
-  if (!packed_faster && !legacy_faster) {
-    GTEST_SKIP() << "arms within noise on this machine: legacy "
-                 << legacy_seconds * 1e3 << " ms vs packed "
-                 << packed_seconds * 1e3 << " ms";
-  }
-
-  ProfileSearchOptions options;
-  options.base = rt::MachineProfile{};
-  options.base.name = "packed-discovery";
-  options.level = level;
-  options.op_family = family;
-  options.relax_only = true;  // the layout axis rides in the relax group
-  options.target_accuracy = 1e3;
-  options.max_cycles = 40;
-  options.instances = 1;
-  options.seed = 7;
-  options.population.population = 4;
-  options.population.mutants_per_elite = 2;
-  options.population.immigrants = 2;
-  options.population.generations = 3;
-  const SearchedProfile searched = search_profile(options);
-  EXPECT_EQ(searched.relax.kernels.layout,
-            packed_faster ? grid::StencilLayout::kPacked
-                          : grid::StencilLayout::kLegacy)
-      << "calibration said legacy " << legacy_seconds * 1e3
-      << " ms vs packed " << packed_seconds * 1e3 << " ms";
 }
 
 }  // namespace

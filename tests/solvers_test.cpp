@@ -1,18 +1,29 @@
 // Tests for the solver layer: relaxation kernels, the cached/uncached
 // direct solver, V-cycles, full multigrid, and the reference
-// iterate-until-converged drivers the paper benchmarks against.
+// iterate-until-converged drivers the paper benchmarks against.  Also
+// the variable-coefficient kernels' exact-equality contracts: fused
+// multi-RHS sweeps match K solo sweeps bit for bit, results do not
+// depend on the thread count or the run, and the kernel policy accepts
+// only the legacy layout.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
 #include "grid/scratch.h"
 #include "grid/level.h"
 #include "grid/problem.h"
+#include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
 #include "solvers/direct.h"
+#include "solvers/line_relax.h"
 #include "solvers/multigrid.h"
 #include "solvers/relax.h"
 #include "support/rng.h"
@@ -354,6 +365,274 @@ TEST(Reference, FmgDriverNeedsNoMoreCyclesThanV) {
   EXPECT_TRUE(v.converged);
   EXPECT_TRUE(f.converged);
   EXPECT_LE(f.iterations, v.iterations);
+}
+
+// ------------------------------------------- variable-coefficient parity --
+
+Engine& engine_with(int threads) {
+  static Engine one([] {
+    rt::MachineProfile p;
+    p.name = "solver-test-1t";
+    p.threads = 1;
+    return EngineOptions{p, {}, {}, 0};
+  }());
+  static Engine four([] {
+    rt::MachineProfile p;
+    p.name = "solver-test-4t";
+    p.threads = 4;
+    p.grain_rows = 2;  // force real slicing so races would surface
+    return EngineOptions{p, {}, {}, 0};
+  }());
+  return threads == 1 ? one : four;
+}
+
+/// Deterministic dense test data; magnitudes mixed so any dropped term or
+/// re-associated sum flips low-order bits the comparisons below catch.
+Grid2D random_grid(int n, std::uint64_t seed) {
+  Grid2D g(n, 0.0);
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      g(i, j) = rng.uniform(-1.0e3, 1.0e3);
+    }
+  }
+  return g;
+}
+
+::testing::AssertionResult bitwise_equal(const Grid2D& a, const Grid2D& b) {
+  if (a.n() != b.n()) {
+    return ::testing::AssertionFailure() << "size mismatch";
+  }
+  for (int i = 0; i < a.n(); ++i) {
+    for (int j = 0; j < a.n(); ++j) {
+      const double av = a(i, j);
+      const double bv = b(i, j);
+      if (std::memcmp(&av, &bv, sizeof(double)) != 0) {
+        return ::testing::AssertionFailure()
+               << "first divergence at (" << i << ", " << j << "): " << av
+               << " vs " << bv;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Variable-coefficient families covering every kernel: 5-point (smooth,
+/// high-contrast, extreme anisotropy, piecewise rotation) and the 9-point
+/// tensor discretisations.
+constexpr OperatorFamily kParityFamilies[] = {
+    OperatorFamily::kSmoothVariable,  OperatorFamily::kJumpCoefficient,
+    OperatorFamily::kAnisotropic1000, OperatorFamily::kAnisoRotated,
+    OperatorFamily::kAnisoTheta30,    OperatorFamily::kAnisoTheta45};
+
+/// One operator-aware kernel applied in place to x (residual and apply
+/// write their output back into x so every kernel compares the same way).
+using Sweep = void (*)(const grid::StencilOp&, Grid2D&, const Grid2D&,
+                       Engine&);
+
+void sor3(const grid::StencilOp& op, Grid2D& x, const Grid2D& b, Engine& e) {
+  // Three chained sweeps: any drift compounds and must stay zero.
+  for (int s = 0; s < 3; ++s) sor_sweep(op, x, b, 1.15, e.scheduler());
+}
+void jacobi3(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+             Engine& e) {
+  Grid2D scratch(x.n(), 0.0);
+  for (int s = 0; s < 3; ++s) {
+    jacobi_sweep(op, x, b, kJacobiOmega, scratch, e.scheduler());
+  }
+}
+template <RelaxKind kKind>
+void lines2(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+            Engine& e) {
+  for (int s = 0; s < 2; ++s) {
+    line_relax_sweep(op, x, b, kKind, e.scheduler(), e.scratch());
+  }
+}
+void residual_into_x(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
+                     Engine& e) {
+  Grid2D r(x.n(), 1.0);  // overwritten; nonzero so stale cells surface
+  grid::residual_op(op, x, b, r, e.scheduler());
+  x = r;
+}
+void apply_into_x(const grid::StencilOp& op, Grid2D& x, const Grid2D&,
+                  Engine& e) {
+  Grid2D out(x.n(), 1.0);
+  grid::apply_op(op, x, out, e.scheduler());
+  x = out;
+}
+
+constexpr Sweep kAllSweeps[] = {
+    residual_into_x,          apply_into_x,
+    sor3,                     jacobi3,
+    lines2<RelaxKind::kLineX>, lines2<RelaxKind::kLineY>,
+    lines2<RelaxKind::kLineZebraAlt>};
+
+TEST(KernelDeterminism, ThreadCountsAgree) {
+  // Same-colour cells and same-parity lines touch disjoint memory, so
+  // every kernel gives the same bits on 1 and 4 threads.
+  const grid::StencilOp op = make_operator(65, OperatorFamily::kAnisoTheta45);
+  const Grid2D b = random_grid(65, 0xC0FFEE ^ 0xB0B);
+  for (std::size_t k = 0; k < std::size(kAllSweeps); ++k) {
+    SCOPED_TRACE("sweep #" + std::to_string(k));
+    Grid2D serial = random_grid(65, 0xC0FFEE);
+    Grid2D threaded = serial;
+    kAllSweeps[k](op, serial, b, engine_with(1));
+    kAllSweeps[k](op, threaded, b, engine_with(4));
+    EXPECT_TRUE(bitwise_equal(serial, threaded));
+  }
+}
+
+TEST(KernelDeterminism, RepeatedRunsAreDeterministic) {
+  // Identical inputs give identical bits run over run under a threaded
+  // scheduler.
+  const grid::StencilOp op =
+      make_operator(65, OperatorFamily::kAnisotropic1000);
+  const Grid2D b = random_grid(65, 0xD0);
+  Grid2D first = random_grid(65, 0xD1);
+  Grid2D second = first;
+  lines2<RelaxKind::kLineZebraAlt>(op, first, b, engine_with(4));
+  lines2<RelaxKind::kLineZebraAlt>(op, second, b, engine_with(4));
+  sor3(op, first, b, engine_with(4));
+  sor3(op, second, b, engine_with(4));
+  EXPECT_TRUE(bitwise_equal(first, second));
+}
+
+/// Solo-vs-batched check: runs `solo(x, b)` on each of K slots and
+/// `multi(xs, bs)` on identically-seeded copies; every slot must finish
+/// bitwise identical.  The fused multi-RHS kernels reorder only memory
+/// traffic (one coefficient-row load serves all K), never any single
+/// slot's accumulation order, so exact equality is the contract the
+/// batched serving path (SolveService::solve_batch) stands on.
+template <typename Solo, typename Multi>
+void expect_multi_matches_solo(int n, int k_count, std::uint64_t seed,
+                               const Solo& solo, const Multi& multi) {
+  std::vector<Grid2D> b_store;
+  std::vector<Grid2D> solo_store;
+  std::vector<Grid2D> multi_store;
+  for (int k = 0; k < k_count; ++k) {
+    b_store.push_back(random_grid(n, seed + 1000 + static_cast<unsigned>(k)));
+    solo_store.push_back(random_grid(n, seed + static_cast<unsigned>(k)));
+    multi_store.push_back(solo_store.back());
+  }
+  for (int k = 0; k < k_count; ++k) solo(solo_store[k], b_store[k]);
+  std::vector<Grid2D*> xs;
+  std::vector<const Grid2D*> bs;
+  for (int k = 0; k < k_count; ++k) {
+    xs.push_back(&multi_store[k]);
+    bs.push_back(&b_store[k]);
+  }
+  multi(xs, bs);
+  for (int k = 0; k < k_count; ++k) {
+    EXPECT_TRUE(bitwise_equal(solo_store[k], multi_store[k]))
+        << "slot " << k << " of " << k_count;
+  }
+}
+
+void expect_all_multi_parity(const grid::StencilOp& op, int k_count,
+                             int threads, std::uint64_t seed) {
+  const int n = op.n();
+  Engine& eng = engine_with(threads);
+  rt::Scheduler& sched = eng.scheduler();
+  expect_multi_matches_solo(
+      n, k_count, seed,
+      [&](Grid2D& x, const Grid2D& b) { residual_into_x(op, x, b, eng); },
+      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
+        std::vector<Grid2D> r_store(xs.size(), Grid2D(n, 1.0));
+        std::vector<Grid2D*> rs;
+        std::vector<const Grid2D*> xs_read;
+        for (std::size_t k = 0; k < xs.size(); ++k) {
+          rs.push_back(&r_store[k]);
+          xs_read.push_back(xs[k]);
+        }
+        grid::residual_op_multi(op, xs_read, bs, rs, sched);
+        for (std::size_t k = 0; k < xs.size(); ++k) *xs[k] = r_store[k];
+      });
+  expect_multi_matches_solo(
+      n, k_count, seed ^ 0x50F,
+      [&](Grid2D& x, const Grid2D& b) { sor3(op, x, b, eng); },
+      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
+        for (int s = 0; s < 3; ++s) {
+          sor_sweep_multi(op, xs, bs, 1.15, sched);
+        }
+      });
+  expect_multi_matches_solo(
+      n, k_count, seed ^ 0x11E,
+      [&](Grid2D& x, const Grid2D& b) {
+        lines2<RelaxKind::kLineZebraAlt>(op, x, b, eng);
+      },
+      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
+        for (int s = 0; s < 2; ++s) {
+          line_relax_sweep_multi(op, xs, bs, RelaxKind::kLineZebraAlt, sched,
+                                 eng.scratch());
+        }
+      });
+}
+
+TEST(MultiRhsParity, AllFamiliesMatchSolo) {
+  std::uint64_t seed = 0x3A7C;
+  for (const OperatorFamily family : kParityFamilies) {
+    SCOPED_TRACE("family=" + to_string(family));
+    expect_all_multi_parity(make_operator(33, family), /*k_count=*/4,
+                            /*threads=*/4, ++seed);
+  }
+}
+
+TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
+  const grid::StencilOp op = grid::StencilOp::poisson(33);
+  std::uint64_t seed = 0xF00D;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_all_multi_parity(op, /*k_count=*/3, threads, ++seed);
+  }
+}
+
+TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
+  // K = 1 routes to the solo code path outright; K = 5 leaves a partial
+  // trailing element in any would-be unrolling.  Both must hold parity.
+  const grid::StencilOp op = make_operator(17, OperatorFamily::kAnisoTheta45);
+  std::uint64_t seed = 0x0DD;
+  for (const int k_count : {1, 2, 5}) {
+    SCOPED_TRACE("k=" + std::to_string(k_count));
+    expect_all_multi_parity(op, k_count, /*threads=*/4, ++seed);
+  }
+}
+
+// -------------------------------------------------------- kernel policy --
+
+TEST(KernelPolicy, OnlyTheLegacyLayoutIsAccepted) {
+  EXPECT_EQ(grid::to_string(grid::StencilLayout::kLegacy), "legacy");
+  EXPECT_EQ(grid::to_string(grid::StencilLayout::kPacked), "packed");
+  EXPECT_EQ(grid::parse_stencil_layout("packed"),
+            grid::StencilLayout::kPacked);
+  EXPECT_THROW(grid::parse_stencil_layout("tiled"), InvalidArgument);
+  EXPECT_NO_THROW(grid::validate_kernel_policy(grid::KernelPolicy{}));
+
+  const grid::KernelPolicy packed{grid::StencilLayout::kPacked};
+  EXPECT_THROW(grid::validate_kernel_policy(packed), InvalidArgument);
+  RelaxTunables tunables;
+  tunables.kernels = packed;
+  EXPECT_THROW(validate_relax_tunables(tunables), InvalidArgument);
+  EXPECT_THROW(Engine(EngineOptions{rt::serial_profile(), tunables, {}, 0}),
+               InvalidArgument);
+
+  // Every kernel entry point that takes a policy rejects the packed
+  // layout instead of silently running legacy, the Poisson fast path
+  // included.
+  Engine& eng = engine_with(1);
+  for (const grid::StencilOp& op :
+       {make_operator(17, OperatorFamily::kJumpCoefficient),
+        grid::StencilOp::poisson(17)}) {
+    Grid2D x = random_grid(17, 0x5A);
+    const Grid2D b = random_grid(17, 0x5B);
+    Grid2D r(17, 0.0);
+    EXPECT_THROW(grid::residual_op(op, x, b, r, eng.scheduler(), packed),
+                 InvalidArgument);
+    EXPECT_THROW(sor_sweep(op, x, b, 1.15, eng.scheduler(), packed),
+                 InvalidArgument);
+    EXPECT_THROW(line_relax_sweep(op, x, b, RelaxKind::kLineX,
+                                  eng.scheduler(), eng.scratch(), packed),
+                 InvalidArgument);
+  }
 }
 
 }  // namespace

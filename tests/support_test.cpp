@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,25 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("tru"), ConfigError);
   EXPECT_THROW(Json::parse("1 2"), ConfigError);
   EXPECT_THROW(Json::parse("{'a': 1}"), ConfigError);
+}
+
+TEST(Json, DeepNestingIsATypedErrorNotAStackOverflow) {
+  // The parser recurses once per '[' / '{'; without a depth cap a
+  // 100,000-deep document overflows the stack and kills the process.
+  const auto nested = [](int depth, char open, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_THROW(Json::parse(nested(100000, '[', ']')), ConfigError);
+  std::string objects;
+  for (int d = 0; d < 100000; ++d) objects += "{\"a\":";
+  objects += "1" + std::string(100000, '}');
+  EXPECT_THROW(Json::parse(objects), ConfigError);
+  // The cap sits far above anything a tuned table needs.
+  const Json ok = Json::parse(nested(200, '[', ']'));
+  EXPECT_TRUE(ok.is_array());
+  EXPECT_THROW(Json::parse(nested(257, '[', ']')), ConfigError);
+  EXPECT_NO_THROW(Json::parse(nested(256, '[', ']')));
 }
 
 TEST(Json, TypeMismatchesThrow) {
