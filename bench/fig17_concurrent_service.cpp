@@ -1,11 +1,11 @@
 // "Figure 17" (beyond the paper): multi-tenant throughput of the
 // SolveService front-end.  N client threads hammer one Engine with mixed
-// problem sizes; because the work-stealing scheduler composes nested
-// parallelism, aggregate requests/sec should scale with client count on a
-// multi-core machine (flattening once the worker pool saturates) instead
-// of collapsing the way per-request thread pools would.  Emits the
-// throughput/latency table plus machine-readable BENCH_*.json with
-// median/p90 latency per client count.
+// problem sizes; one client's sweeps run on the engine's fork/join team
+// while the others run theirs inline, so aggregate requests/sec should
+// scale with client count on a multi-core machine (flattening once the
+// cores saturate) instead of collapsing the way per-request thread pools
+// would.  Emits the throughput/latency table plus machine-readable
+// BENCH_*.json with median/p90 latency per client count.
 
 #include <atomic>
 #include <cmath>

@@ -83,7 +83,7 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// The engine's work-stealing scheduler.
+  /// The engine's fork/join team.
   rt::Scheduler& scheduler() { return scheduler_; }
 
   /// Profile the scheduler was built from.
@@ -110,8 +110,9 @@ class Engine {
                                  bool* from_cache = nullptr);
 
   /// Samples this engine's runtime health into `registry` gauges
-  /// (pbmg_scheduler_*, pbmg_scratch_*): work-steal count, thread count,
-  /// and the scratch pool's acquire/hit/miss/trim counters, pooled and
+  /// (pbmg_scheduler_*, pbmg_scratch_*): chunks run by helper threads
+  /// (`pbmg_scheduler_steals`; see rt::Scheduler::steal_count), thread
+  /// count, and the scratch pool's acquire/hit/miss/trim counters, pooled and
   /// high-water bytes, and hit rate.  Call before snapshotting the
   /// registry; safe to call concurrently with solves.
   void publish_metrics(obs::MetricsRegistry& registry);

@@ -1,7 +1,6 @@
 #include "engine/solve_service.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -392,14 +391,9 @@ void SolveService::observe_drift(const std::shared_ptr<Generation>& gen,
   if (!stats.converged) return;
   // V-cycle and FMG latencies live in separate baseline keys: FMG solves
   // are legitimately slower (the ramp), and mixing the two modes into
-  // one window reads as drift whenever the workload mix shifts.  The
-  // initial residual (when the request's audit measured one) feeds the
-  // watcher's input-distribution summary alongside the latency sample.
-  const obs::DriftObservation verdict = watcher_->observe(
-      stats.n, accuracy_index, stats.seconds, fmg,
-      stats.residual_checked
-          ? stats.initial_residual
-          : std::numeric_limits<double>::quiet_NaN());
+  // one window reads as drift whenever the workload mix shifts.
+  const obs::DriftObservation verdict =
+      watcher_->observe(stats.n, accuracy_index, stats.seconds, fmg);
   if (verdict.window_complete) {
     (verdict.drifted ? drift_windows_drifted_ : drift_windows_ok_).add(1);
     std::lock_guard<std::mutex> lock(mutex_);

@@ -30,11 +30,11 @@
 /// grid size and serves the config's own family on its fixed plan;
 /// solve_op() keys on (operator identity × size) and serves a session
 /// bound to a cross-family escalation ladder.
-/// The work-stealing scheduler composes nested parallelism, so requests
-/// submitted from different client threads interleave on one worker pool
-/// instead of fighting over oversubscribed thread pools — this is what
-/// makes aggregate throughput scale with client count
-/// (bench/fig17_concurrent_service).
+/// Requests from different client threads share the engine's one
+/// fork/join team: one request's sweep runs on the team while the others
+/// run their sweeps inline on their own threads, so concurrent clients
+/// never oversubscribe the machine with extra thread pools
+/// (bench/fig17_concurrent_service measures throughput vs client count).
 ///
 /// The service also owns an obs::MetricsRegistry: every *converged*
 /// solve lands in a per-(grid size × accuracy) latency histogram
@@ -143,7 +143,7 @@ struct ServiceStats {
   std::int64_t trims = 0;        ///< trim() calls since construction
   std::int64_t trim_bytes = 0;   ///< total bytes freed by those trims
   double scratch_hit_rate = 0.0;    ///< pool hit rate, sampled at stats()
-  std::int64_t scheduler_steals = 0;  ///< work steals, sampled at stats()
+  std::int64_t scheduler_steals = 0;  ///< helper-run chunks, at stats()
   std::int64_t drift_windows = 0;   ///< comparison windows closed
   std::int64_t drifted_windows = 0;  ///< windows that failed both tests
   std::int64_t retunes = 0;      ///< background retunes launched

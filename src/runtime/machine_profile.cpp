@@ -16,10 +16,11 @@ int hardware_threads() {
 
 }  // namespace
 
+int default_thread_count() { return std::min(8, hardware_threads()); }
+
 MachineProfile harpertown_profile() {
   MachineProfile p;
   p.name = "harpertown";
-  p.threads = std::min(8, hardware_threads());
   p.grain_rows = 8;
   p.spawn_overhead_ns = 0;
   p.sequential_cutoff_cells = 16384;
@@ -29,7 +30,6 @@ MachineProfile harpertown_profile() {
 MachineProfile barcelona_profile() {
   MachineProfile p;
   p.name = "barcelona";
-  p.threads = std::min(8, hardware_threads());
   p.grain_rows = 32;
   p.spawn_overhead_ns = 500;
   p.sequential_cutoff_cells = 32768;

@@ -21,20 +21,25 @@
 
 namespace pbmg::rt {
 
+/// min(8, std::thread::hardware_concurrency()) — 8 when the hardware
+/// reports no count: the worker count of the default, harpertown and
+/// barcelona profiles, so no default oversubscribes a smaller host.
+int default_thread_count();
+
 /// Execution-environment description used to configure the scheduler.
 struct MachineProfile {
   /// Identifier used in configs, tables and figure labels.
   std::string name = "default";
 
-  /// Number of worker threads (>= 1).
-  int threads = 8;
+  /// Number of threads that run a parallel region (>= 1).
+  int threads = default_thread_count();
 
-  /// Minimum rows per leaf task when slicing grid sweeps; larger values
-  /// model architectures where fine-grained tasks are not profitable.
+  /// Rows per chunk when slicing grid sweeps; larger values model
+  /// architectures where fine-grained chunks are not profitable.
   int grain_rows = 8;
 
-  /// Busy-wait injected on every task spawn, in nanoseconds.  Models
-  /// scheduling cost on architectures with slow scalar cores.
+  /// Busy-wait injected on every chunk a thread claims, in nanoseconds.
+  /// Models scheduling cost on architectures with slow scalar cores.
   int spawn_overhead_ns = 0;
 
   /// Parallel/sequential cutoff: grid kernels whose total work (in cells)

@@ -1,6 +1,8 @@
 #include "runtime/scheduler.h"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "support/error.h"
 
@@ -8,61 +10,70 @@ namespace pbmg::rt {
 
 namespace {
 
-// Identifies the worker index of the current thread within the scheduler it
-// belongs to (or -1 on external threads).
-thread_local const Scheduler* tls_scheduler = nullptr;
-thread_local int tls_worker_index = -1;
+// How long a thread busy-waits before parking on an atomic wait: long
+// enough to bridge the serial glue between consecutive sweeps of a
+// multigrid cycle, short enough that an idle team soon leaves the cores.
+constexpr auto kSpinBound = std::chrono::microseconds(100);
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("isb" ::: "memory");
 #else
   std::this_thread::yield();
 #endif
 }
 
+// Spins until done() holds or kSpinBound elapses; returns done().
+template <typename Done>
+bool spin_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBound;
+  for (unsigned round = 1; !done(); ++round, cpu_relax()) {
+    if (round % 64 == 0 && std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-void TaskGroup::record_exception(std::exception_ptr e) {
-  std::lock_guard<std::mutex> lock(exception_mutex_);
-  if (!first_exception_) first_exception_ = e;
-}
+/// One parallel_for call, on the caller's stack while it runs.
+struct Scheduler::Region {
+  const RangeBody* body;
+  std::int64_t begin, end, grain, chunks;
+  std::atomic<std::int64_t> next{0};  ///< next unclaimed chunk index
+  std::atomic<bool> failed{false};
+  std::exception_ptr error = nullptr;  ///< set by the thread that set failed
+};
 
-Scheduler::Scheduler(const MachineProfile& profile) : profile_(profile) {
+Scheduler::Scheduler(const MachineProfile& profile)
+    : profile_(profile), active_workers_(profile.threads) {
   PBMG_CHECK(profile.threads >= 1, "scheduler requires >= 1 thread");
-  active_workers_.store(profile.threads, std::memory_order_release);
-  workers_.reserve(static_cast<std::size_t>(profile.threads));
-  for (int i = 0; i < profile.threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(workers_.size());
-  for (int i = 0; i < profile.threads; ++i) {
-    threads_.emplace_back([this, i] { worker_main(i); });
+  try {
+    for (int i = 0; i + 1 < profile.threads; ++i) {
+      helpers_.emplace_back([this, i] { helper_main(i); });
+    }
+  } catch (...) {
+    shutdown();  // join the helpers already started
+    throw;
   }
 }
 
-Scheduler::~Scheduler() {
+void Scheduler::shutdown() {
   stop_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_all();
-  for (auto& t : threads_) t.join();
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+  for (auto& t : helpers_) t.join();
 }
-
-bool Scheduler::on_worker_thread() const { return tls_scheduler == this; }
 
 void Scheduler::set_active_workers(int count) {
-  if (count < 1) count = 1;
-  if (count > thread_count()) count = thread_count();
+  count = std::clamp(count, 1, thread_count());
   active_workers_.store(count, std::memory_order_release);
-  {
-    // Empty critical section: orders the store against the condvar waits
-    // so no worker can miss the limit change between its predicate check
-    // and its sleep.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_all();
+  // Wake parked helpers so newly admitted ones join a region in flight.
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
 }
 
 void Scheduler::inject_spawn_overhead() const {
@@ -72,279 +83,93 @@ void Scheduler::inject_spawn_overhead() const {
   while (std::chrono::steady_clock::now() - start < budget) cpu_relax();
 }
 
-void Scheduler::push_task(int worker_index, Task task) {
-  Worker& worker = *workers_[static_cast<std::size_t>(worker_index)];
-  {
-    std::lock_guard<Spinlock> lock(worker.lock);
-    worker.deque.push_back(std::move(task));
-    worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                             std::memory_order_release);
-  }
-  ready_tasks_.fetch_add(1, std::memory_order_release);
-  if (sleeper_count_.load(std::memory_order_acquire) > 0) {
-    // Wake everyone: pushes come in bursts at the start of a parallel
-    // region, and a notify_one cascade (each woken worker waking the next)
-    // costs one futex round-trip per worker — serialising the ramp-up.
-    sleep_cv_.notify_all();
+void Scheduler::helper_main(int index) {
+  const auto admitted = [&] {
+    return index + 1 < active_workers_.load(std::memory_order_acquire);
+  };
+  std::uint32_t seen = 0;  // not epoch_: a late starter still joins region 1
+  while (true) {
+    if (admitted()) spin_until([&] { return epoch_.load() != seen; });
+    epoch_.wait(seen, std::memory_order_acquire);
+    seen = epoch_.load(std::memory_order_acquire);
+    if (stop_.load(std::memory_order_acquire)) return;
+    if (!admitted()) continue;
+    // Register, then read the region (both seq_cst, as is the caller's
+    // unpublish-then-check): the caller waits for us, or we see no region.
+    users_.fetch_add(1);
+    if (Region* region = region_.load()) run_chunks(*region, true);
+    if (users_.fetch_sub(1) == 1) users_.notify_all();
   }
 }
 
-void Scheduler::spawn(TaskGroup& group, std::function<void()> fn) {
-  inject_spawn_overhead();
-  group.pending_.fetch_add(1, std::memory_order_acq_rel);
-  Task task;
-  task.fn = std::move(fn);
-  task.group = &group;
-  int target;
-  if (tls_scheduler == this) {
-    target = tls_worker_index;
-  } else {
-    target = static_cast<int>(
-        external_round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size());
-  }
-  push_task(target, std::move(task));
-}
-
-bool Scheduler::try_pop_local(int index, Task& out) {
-  Worker& worker = *workers_[static_cast<std::size_t>(index)];
-  if (worker.approx_size.load(std::memory_order_acquire) == 0) return false;
-  std::lock_guard<Spinlock> lock(worker.lock);
-  if (worker.deque.empty()) return false;
-  out = std::move(worker.deque.back());
-  worker.deque.pop_back();
-  worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                           std::memory_order_release);
-  return true;
-}
-
-bool Scheduler::try_steal(int thief_index, Task& out) {
-  const int n = thread_count();
-  // Deterministic round starting at a pseudo-random victim: cheap and good
-  // enough for victim selection.
-  const auto start = static_cast<int>(
-      (static_cast<std::uint64_t>(thief_index) * 0x9e3779b9u +
-       static_cast<std::uint64_t>(
-           steal_count_.load(std::memory_order_relaxed))) %
-      static_cast<std::uint64_t>(n));
-  for (int offset = 0; offset < n; ++offset) {
-    const int victim = (start + offset) % n;
-    if (victim == thief_index) continue;
-    Worker& worker = *workers_[static_cast<std::size_t>(victim)];
-    // Occupancy hint first: empty victims are skipped without locking so
-    // idle thieves never contend with a busy owner's deque mutex.
-    if (worker.approx_size.load(std::memory_order_acquire) == 0) continue;
-    // try_lock: if the owner (or another thief) holds the lock, move on to
-    // the next victim instead of convoying here.
-    if (!worker.lock.try_lock()) continue;
-    std::lock_guard<Spinlock> lock(worker.lock, std::adopt_lock);
-    if (worker.deque.empty()) continue;
-    out = std::move(worker.deque.front());
-    worker.deque.pop_front();
-    worker.approx_size.store(static_cast<int>(worker.deque.size()),
-                             std::memory_order_release);
-    steal_count_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-bool Scheduler::try_acquire_task(int index, Task& out) {
-  if (index >= 0 && try_pop_local(index, out)) return true;
-  if (thread_count() > 1 || index < 0) {
-    const int thief = index >= 0 ? index : 0;
-    if (try_steal(thief, out)) return true;
-    // An external waiter (index < 0) may also need to drain worker 0's own
-    // deque; try_steal skips the thief's index, so check it explicitly.
-    if (index < 0 && try_pop_local(0, out)) return true;
-  }
-  return false;
-}
-
-void Scheduler::spawn_range(TaskGroup& group, Task::RangeFn fn, void* context,
-                            std::int64_t begin, std::int64_t end) {
-  inject_spawn_overhead();
-  group.pending_.fetch_add(1, std::memory_order_acq_rel);
-  Task task;
-  task.range_fn = fn;
-  task.context = context;
-  task.begin = begin;
-  task.end = end;
-  task.group = &group;
-  int target;
-  if (tls_scheduler == this) {
-    target = tls_worker_index;
-  } else {
-    target = static_cast<int>(
-        external_round_robin_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size());
-  }
-  push_task(target, std::move(task));
-}
-
-void Scheduler::execute(Task task) {
-  ready_tasks_.fetch_sub(1, std::memory_order_acq_rel);
-  TaskGroup* group = task.group;
-  try {
-    if (task.range_fn != nullptr) {
-      task.range_fn(task.context, task.begin, task.end);
-    } else {
-      task.fn();
-    }
-  } catch (...) {
-    group->record_exception(std::current_exception());
-  }
-  const std::int64_t left =
-      group->pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  if (left == 0) group->pending_.notify_all();
-}
-
-void Scheduler::worker_main(int index) {
-  tls_scheduler = this;
-  tls_worker_index = index;
-  // Spin a few hundred microseconds before parking: multigrid issues
-  // bursts of short parallel regions (one per sweep per level) separated
-  // by brief serial glue, and paying a condvar wake-up between regions
-  // would dominate small-grid kernels.
-  constexpr int kSpinRounds = 65536;
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Throttled worker: park until the active-worker limit readmits this
-    // index.  Tasks left in (or round-robined into) this worker's deque
-    // stay stealable by the active workers, so parking never strands work.
-    if (index >= active_workers_.load(std::memory_order_acquire)) {
-      std::unique_lock<std::mutex> lock(sleep_mutex_);
-      sleep_cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               index < active_workers_.load(std::memory_order_acquire);
-      });
-      continue;
-    }
-    Task task;
-    bool found = false;
-    for (int round = 0; round < kSpinRounds && !found; ++round) {
-      found = try_acquire_task(index, task);
-      if (!found) cpu_relax();
-    }
-    if (found) {
-      execute(std::move(task));
-      continue;
-    }
-    // Nothing after spinning: sleep until a push, a throttle change (the
-    // limit may have dropped below this index — re-check the park branch),
-    // or shutdown.
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleeper_count_.fetch_add(1, std::memory_order_release);
-    sleep_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             ready_tasks_.load(std::memory_order_acquire) > 0 ||
-             index >= active_workers_.load(std::memory_order_acquire);
-    });
-    sleeper_count_.fetch_sub(1, std::memory_order_release);
-  }
-  tls_scheduler = nullptr;
-  tls_worker_index = -1;
-}
-
-void Scheduler::wait(TaskGroup& group) {
-  if (on_worker_thread()) {
-    // Help: keep running tasks (any tasks — depth-first locality) until the
-    // group drains.  Never blocks, so nested waits cannot deadlock.
-    while (group.pending_.load(std::memory_order_acquire) > 0) {
-      Task task;
-      if (try_acquire_task(tls_worker_index, task)) {
-        execute(std::move(task));
-      } else {
-        cpu_relax();
+void Scheduler::run_chunks(Region& region, bool helper) {
+  std::int64_t ran = 0;
+  while (true) {
+    const std::int64_t chunk =
+        region.next.fetch_add(1, std::memory_order_relaxed);
+    if (chunk >= region.chunks) break;
+    const std::int64_t b = region.begin + chunk * region.grain;
+    inject_spawn_overhead();
+    try {
+      (*region.body)(b, b + std::min(region.grain, region.end - b));
+    } catch (...) {
+      if (!region.failed.exchange(true)) {
+        region.error = std::current_exception();
       }
     }
-  } else {
-    // External thread: wait for the group.  It deliberately does NOT
-    // execute tasks, so a pool of T workers performs exactly T threads of
-    // work (the paper's thread-count semantics, Fig. 9).  Short regions
-    // finish in microseconds, so spin briefly before the futex sleep.
-    constexpr int kWaiterSpinRounds = 16384;
-    for (int round = 0; round < kWaiterSpinRounds; ++round) {
-      if (group.pending_.load(std::memory_order_acquire) == 0) break;
-      cpu_relax();
-    }
-    while (true) {
-      const std::int64_t pending =
-          group.pending_.load(std::memory_order_acquire);
-      if (pending == 0) break;
-      group.pending_.wait(pending, std::memory_order_acquire);
-    }
+    ++ran;
   }
-  std::exception_ptr e;
-  {
-    std::lock_guard<std::mutex> lock(group.exception_mutex_);
-    e = group.first_exception_;
-    group.first_exception_ = nullptr;
-  }
-  if (e) std::rethrow_exception(e);
+  if (helper) steal_count_.fetch_add(ran, std::memory_order_relaxed);
 }
 
 void Scheduler::parallel_for(std::int64_t begin, std::int64_t end,
                              std::int64_t grain, const RangeBody& body) {
   if (end <= begin) return;
-  if (grain < 1) grain = 1;
+  grain = std::max<std::int64_t>(grain, 1);
   if (thread_count() == 1 || end - begin <= grain) {
     body(begin, end);
     return;
   }
-  TaskGroup group;
-  // Recursive range splitting: each task halves its range, spawning the
-  // right half and keeping the left, until chunks reach the grain.  The
-  // shared state (body, group, grain) outlives the tasks because we wait
-  // before returning.  Splits travel as allocation-free range tasks.
-  struct Splitter {
-    Scheduler* self;
-    TaskGroup* group;
-    std::int64_t grain;
-    const RangeBody* body;
-
-    static void entry(void* context, std::int64_t b, std::int64_t e) {
-      static_cast<Splitter*>(context)->run(b, e);
-    }
-
-    void run(std::int64_t b, std::int64_t e) const {
-      while (e - b > grain) {
-        const std::int64_t mid = b + (e - b) / 2;
-        self->spawn_range(*group, &Splitter::entry,
-                          const_cast<Splitter*>(this), mid, e);
-        e = mid;
-      }
-      (*body)(b, e);
-    }
-  };
-  Splitter splitter{this, &group, grain, &body};
-  if (on_worker_thread()) {
-    // Work-first on a worker: keep the left half, spawn the right.
-    splitter.run(begin, end);
-  } else {
-    // External caller: hand the whole range to the pool so that exactly
-    // thread_count() workers execute it, then block.  The splitter lives on
-    // this frame until wait() returns, so child tasks may point into it.
-    spawn_range(group, &Splitter::entry, &splitter, begin, end);
+  Region region{&body, begin, end, grain, (end - begin - 1) / grain + 1};
+  // When the team is busy (a nested body, or another client's region) or
+  // throttled to the caller alone, this thread runs every chunk itself.
+  const bool team = active_workers() > 1 &&
+                    !busy_.exchange(true, std::memory_order_acquire);
+  if (team) {
+    region_.store(&region);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
   }
-  wait(group);
+  run_chunks(region, false);
+  if (team) {
+    // Every chunk is claimed; unpublish, then wait out registered helpers
+    // (those still running a chunk, and late arrivals about to see null).
+    region_.store(nullptr);
+    spin_until([&] { return users_.load() == 0; });
+    for (int users = users_.load(); users != 0; users = users_.load()) {
+      users_.wait(users);
+    }
+    busy_.store(false, std::memory_order_release);
+  }
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 double Scheduler::parallel_reduce_sum(std::int64_t begin, std::int64_t end,
                                       std::int64_t grain,
                                       const RangeSum& chunk_fn) {
   if (end <= begin) return 0.0;
-  if (grain < 1) grain = 1;
+  grain = std::max<std::int64_t>(grain, 1);
   if (thread_count() == 1 || end - begin <= grain) {
     return chunk_fn(begin, end);
   }
-  std::mutex sum_mutex;
+  // One slot per chunk, summed in chunk order: same bits on any thread.
+  std::vector<double> partials(
+      static_cast<std::size_t>((end - begin - 1) / grain + 1));
+  parallel_for(begin, end, grain, [&](std::int64_t b, std::int64_t e) {
+    partials[static_cast<std::size_t>((b - begin) / grain)] = chunk_fn(b, e);
+  });
   double total = 0.0;
-  parallel_for(begin, end, grain,
-               [&](std::int64_t b, std::int64_t e) {
-                 const double partial = chunk_fn(b, e);
-                 std::lock_guard<std::mutex> lock(sum_mutex);
-                 total += partial;
-               });
+  for (const double partial : partials) total += partial;
   return total;
 }
 

@@ -1,86 +1,36 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "runtime/machine_profile.h"
-#include "support/rng.h"
 
 /// \file scheduler.h
-/// Work-stealing task scheduler.
+/// Persistent fork/join team for row-sliced grid kernels.
 ///
-/// This reproduces the PetaBricks runtime library described in §3.2.3 of
-/// the paper: dynamic task scheduling over per-worker deques with a task
-/// stealing protocol in the style of Cilk-5.  Owners push and pop at the
-/// bottom of their own deque (depth-first, locality-friendly); idle workers
-/// steal from the top of a random victim (breadth-first, load balancing).
+/// The PetaBricks runtime (§3.2.3 of the paper) is a Cilk-style
+/// work-stealing scheduler because the compiler emits arbitrary task
+/// graphs.  Every caller here issues a flat loop over grid rows, and rows of
+/// a regular grid cost the same, so handing out grain-sized chunks from one
+/// shared counter balances as well as stealing — without per-worker deques,
+/// locks or recursive splitting, whose fork/join latency exceeded the
+/// sweeps themselves on small hosts.
 ///
-/// Tasks are grouped into TaskGroups; `Scheduler::wait` blocks until a
-/// group drains, and a worker that waits keeps executing tasks instead of
-/// blocking, so nested parallelism (relaxations inside recursive multigrid
-/// calls) composes without thread explosion.
+/// A team of T threads is T−1 helpers plus the thread that calls
+/// parallel_for: the caller publishes the region, then claims chunks like
+/// any helper, so exactly T threads run the work.  Idle helpers spin for a
+/// bounded time (multigrid issues bursts of short regions), then park.
+/// One region runs at a time: a call made while the team is busy — a
+/// nested body, or a second client thread — runs the same grain-sized
+/// chunks inline on its own thread.  Nesting thus composes without thread
+/// explosion, as in the paper, and no kernel's bits depend on the path.
 
 namespace pbmg::rt {
 
-class Scheduler;
-
-/// Test-and-test-and-set spinlock for the worker deques.  Deque critical
-/// sections are tens of nanoseconds; a futex-based std::mutex turns every
-/// contended access into a syscall, which measures at hundreds of
-/// microseconds of fork/join latency per parallel region.
-class Spinlock {
- public:
-  void lock() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-      while (flag_.test(std::memory_order_relaxed)) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#elif defined(__aarch64__)
-        // ISB stalls the pipeline briefly, the recommended aarch64
-        // spin-wait (plain `yield` is a no-op on most cores).
-        asm volatile("isb" ::: "memory");
-#else
-        // Unknown architecture: give the core away rather than burning it.
-        std::this_thread::yield();
-#endif
-      }
-    }
-  }
-  bool try_lock() { return !flag_.test_and_set(std::memory_order_acquire); }
-  void unlock() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
-
-/// Completion tracker for a set of spawned tasks.  A group may be waited on
-/// exactly once per drain and can be reused after the wait returns.  The
-/// first exception thrown by a task is captured and rethrown from wait().
-class TaskGroup {
- public:
-  TaskGroup() = default;
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
- private:
-  friend class Scheduler;
-
-  void record_exception(std::exception_ptr e);
-
-  std::atomic<std::int64_t> pending_{0};
-  std::mutex exception_mutex_;
-  std::exception_ptr first_exception_;
-};
-
-/// Work-stealing scheduler with a fixed worker pool.
+/// Fork/join team with a fixed thread count.
 class Scheduler {
  public:
   /// Chunk body for parallel loops: invoked as body(chunk_begin, chunk_end).
@@ -89,49 +39,37 @@ class Scheduler {
   /// Chunk function for reductions: returns the partial sum of a chunk.
   using RangeSum = std::function<double(std::int64_t, std::int64_t)>;
 
-  /// Creates `profile.threads` workers.  Throws InvalidArgument for a
-  /// non-positive thread count.
+  /// Starts profile.threads − 1 helpers; InvalidArgument if threads < 1.
   explicit Scheduler(const MachineProfile& profile);
-  ~Scheduler();
+  ~Scheduler() { shutdown(); }
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Number of worker threads.
-  int thread_count() const { return static_cast<int>(workers_.size()); }
+  /// Number of threads that run a region: the helpers plus the caller.
+  int thread_count() const { return profile_.threads; }
 
   /// Profile this scheduler was built from.
   const MachineProfile& profile() const { return profile_; }
 
-  /// Spawns a task into `group`.  Called from a worker thread the task goes
-  /// to that worker's deque; from an external thread it is distributed
-  /// round-robin.
-  void spawn(TaskGroup& group, std::function<void()> fn);
-
-  /// Waits for all tasks in `group` to complete.  A worker thread helps by
-  /// executing tasks while waiting; an external thread blocks.  Rethrows
-  /// the first task exception.
-  void wait(TaskGroup& group);
-
-  /// Parallel loop over [begin, end): splits recursively until chunks are
-  /// at most `grain` long and invokes body(chunk_begin, chunk_end) on each.
-  /// Runs inline when the range is small or the pool has a single worker.
+  /// Parallel loop over [begin, end): invokes body(chunk_begin, chunk_end)
+  /// on consecutive chunks of `grain` indices (the last may be shorter).
+  /// Runs body(begin, end) once when the scheduler has one thread or the
+  /// range fits in one grain.  The first exception a chunk throws is
+  /// rethrown here after the region drains; the scheduler stays usable.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const RangeBody& body);
 
-  /// Parallel sum-reduction over [begin, end): chunk_fn returns each chunk's
-  /// partial sum.  Result ordering is non-deterministic (floating-point
-  /// sums may differ across runs by rounding).
+  /// Parallel sum-reduction over [begin, end): chunk_fn returns each
+  /// chunk's partial sum, added in chunk order, so the bits are the same on
+  /// every repeat and whichever threads ran the chunks.  With one thread or
+  /// a range of at most one grain it is chunk_fn(begin, end).
   double parallel_reduce_sum(std::int64_t begin, std::int64_t end,
                              std::int64_t grain, const RangeSum& chunk_fn);
 
-  /// True when the calling thread is one of this scheduler's workers.
-  bool on_worker_thread() const;
-
   /// Grain for a row-sliced kernel over `rows` rows of `cells_per_row`
-  /// cells: applies the profile's parallel/sequential cutoff (small kernels
-  /// return a grain spanning the whole range, i.e. run inline) and its
-  /// grain_rows otherwise.
+  /// cells: the whole range (one inline call) at or below the profile's
+  /// parallel/sequential cutoff, its grain_rows otherwise.
   std::int64_t grain_for(std::int64_t rows, std::int64_t cells_per_row) const {
     if (rows * cells_per_row <= profile_.sequential_cutoff_cells) {
       return rows > 0 ? rows : 1;
@@ -139,21 +77,17 @@ class Scheduler {
     return profile_.grain_rows;
   }
 
-  /// Total number of successful steals since construction (observability;
-  /// used by tests to verify stealing actually happens).
+  /// Chunks run by helper threads (not the calling thread) since
+  /// construction: how much of the work the team took off the caller.
   std::int64_t steal_count() const {
     return steal_count_.load(std::memory_order_relaxed);
   }
 
-  /// Limits how many of the pool's workers actively execute tasks
-  /// (clamped to [1, thread_count()]).  Workers at index >= `count` park
-  /// on the sleep condvar until the limit is raised again; tasks already
-  /// sitting in a parked worker's deque remain stealable, so nothing is
-  /// lost or stalled — the pool just runs narrower.  This deliberately
-  /// models a machine whose effective core count shrank under the service
-  /// (noisy neighbours, thermal throttling, a resized container): the
-  /// drift bench and tests use it to degrade latency mid-run without
-  /// rebuilding the engine.  Thread-safe.
+  /// Limits how many threads take chunks (clamped to [1, thread_count()]):
+  /// the caller plus helpers 0..count−2; the others park until the limit
+  /// is raised.  Models a machine whose effective core count shrank under
+  /// the service (noisy neighbours, throttling), so the drift bench can
+  /// degrade latency mid-run without rebuilding the engine.  Thread-safe.
   void set_active_workers(int count);
 
   /// Current active-worker limit (thread_count() unless throttled).
@@ -162,52 +96,26 @@ class Scheduler {
   }
 
  private:
-  struct Task {
-    /// Allocation-free fast path used by parallel_for's range splitting:
-    /// a plain function pointer plus context, avoiding one heap-allocated
-    /// std::function per split (which would be freed cross-thread and
-    /// serialise on the allocator).
-    using RangeFn = void (*)(void* context, std::int64_t begin,
-                             std::int64_t end);
-    RangeFn range_fn = nullptr;
-    void* context = nullptr;
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    /// General path for Scheduler::spawn.
-    std::function<void()> fn;
-    TaskGroup* group = nullptr;
-  };
+  struct Region;
 
-  struct Worker {
-    std::deque<Task> deque;
-    Spinlock lock;
-    /// Lock-free occupancy hint: lets idle thieves skip empty victims
-    /// without touching `lock`, so spinning workers do not contend with
-    /// the owner's push/pop traffic.
-    std::atomic<int> approx_size{0};
-  };
-
-  void worker_main(int index);
-  bool try_pop_local(int index, Task& out);
-  bool try_steal(int thief_index, Task& out);
-  bool try_acquire_task(int index, Task& out);
-  void execute(Task task);
-  void push_task(int worker_index, Task task);
-  void spawn_range(TaskGroup& group, Task::RangeFn fn, void* context,
-                   std::int64_t begin, std::int64_t end);
+  void shutdown();
+  void helper_main(int index);
+  void run_chunks(Region& region, bool helper);
   void inject_spawn_overhead() const;
 
   MachineProfile profile_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
+  std::atomic<int> active_workers_;
   std::atomic<bool> stop_{false};
-  std::atomic<int> active_workers_{0};  // set to thread_count() in the ctor
-  std::atomic<std::int64_t> ready_tasks_{0};
+  std::atomic<bool> busy_{false};  ///< a caller owns the team
+  /// Bumped to wake helpers: a new region, a throttle change, shutdown.
+  std::atomic<std::uint32_t> epoch_{0};
+  /// Published region, null between regions.  Helpers register in users_
+  /// before reading it; the caller unpublishes it, then waits for users_
+  /// to drain, so no helper touches a finished region.
+  std::atomic<Region*> region_{nullptr};
+  std::atomic<int> users_{0};
   std::atomic<std::int64_t> steal_count_{0};
-  std::atomic<std::uint64_t> external_round_robin_{0};
-  std::atomic<int> sleeper_count_{0};
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
+  std::vector<std::thread> helpers_;  // last: the threads use all of the above
 };
 
 }  // namespace pbmg::rt

@@ -1,9 +1,11 @@
-// Tests for the work-stealing scheduler: coverage of parallel_for and
-// parallel_reduce, nested parallelism, exception propagation, stealing,
-// machine profiles, and the Spinlock primitive.
+// Tests for the fork/join team: coverage of parallel_for and
+// parallel_reduce, nested parallelism, exception propagation, helper
+// participation, concurrent callers on one team, and machine profiles.
 
 #include <atomic>
-#include <numeric>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -109,34 +111,23 @@ TEST(Scheduler, TaskExceptionPropagatesToWaiter) {
   EXPECT_EQ(sum.load(), 10);
 }
 
-TEST(Scheduler, SpawnAndWaitRunsEveryTask) {
+TEST(Scheduler, ParallelForRunsOneCallPerGrainSizedChunk) {
   Scheduler sched(test_profile(4));
-  TaskGroup group;
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    sched.spawn(group, [&] { count.fetch_add(1); });
-  }
-  sched.wait(group);
-  EXPECT_EQ(count.load(), 200);
+  std::atomic<int> calls{0};
+  std::atomic<bool> misaligned{false};
+  sched.parallel_for(0, 1000, 5, [&](std::int64_t b, std::int64_t e) {
+    if (b % 5 != 0 || e - b != 5) misaligned.store(true);
+    calls.fetch_add(1);
+  });
+  EXPECT_EQ(calls.load(), 200);
+  EXPECT_FALSE(misaligned.load());
 }
 
-TEST(Scheduler, TaskGroupIsReusableAfterWait) {
-  Scheduler sched(test_profile(2));
-  TaskGroup group;
-  std::atomic<int> count{0};
-  sched.spawn(group, [&] { count.fetch_add(1); });
-  sched.wait(group);
-  sched.spawn(group, [&] { count.fetch_add(1); });
-  sched.wait(group);
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(Scheduler, StealsHappenUnderImbalance) {
+TEST(Scheduler, HelpersRunChunks) {
   Scheduler sched(test_profile(4));
-  // One external submission chain creates deep imbalance; with multiple
-  // workers the only way other threads obtain work is stealing.  On a
-  // machine with fewer cores than workers a single round can complete
-  // before any other worker is scheduled, so repeat until a steal lands.
+  // steal_count() counts chunks run by helper threads.  On a machine with
+  // fewer cores than threads the caller can finish a region before any
+  // helper is scheduled, so repeat until a helper takes a chunk.
   for (int round = 0; round < 50 && sched.steal_count() == 0; ++round) {
     std::atomic<std::int64_t> sum{0};
     sched.parallel_for(0, 1 << 14, 1, [&](std::int64_t b, std::int64_t e) {
@@ -151,16 +142,6 @@ TEST(Scheduler, StealsHappenUnderImbalance) {
   EXPECT_GT(sched.steal_count(), 0);
 }
 
-TEST(Scheduler, OnWorkerThreadDetection) {
-  Scheduler sched(test_profile(2));
-  EXPECT_FALSE(sched.on_worker_thread());
-  std::atomic<bool> inside{false};
-  TaskGroup group;
-  sched.spawn(group, [&] { inside.store(sched.on_worker_thread()); });
-  sched.wait(group);
-  EXPECT_TRUE(inside.load());
-}
-
 TEST(Scheduler, SingleThreadRunsInline) {
   Scheduler sched(test_profile(1));
   std::int64_t sum = 0;  // no atomics needed: everything runs inline
@@ -169,16 +150,93 @@ TEST(Scheduler, SingleThreadRunsInline) {
   EXPECT_EQ(sum, 1000);
 }
 
-TEST(Scheduler, SpawnOverheadInjectionSlowsSpawns) {
+TEST(Scheduler, SpawnOverheadIsChargedPerChunk) {
   MachineProfile slow = test_profile(2);
-  slow.spawn_overhead_ns = 200000;  // 0.2 ms per spawn, easily measurable
+  slow.spawn_overhead_ns = 200000;  // 0.2 ms per chunk, easily measurable
   Scheduler sched(slow);
-  TaskGroup group;
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < 20; ++i) sched.spawn(group, [] {});
+  sched.parallel_for(0, 20, 1, [](std::int64_t, std::int64_t) {});
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  sched.wait(group);
-  EXPECT_GE(std::chrono::duration<double>(elapsed).count(), 20 * 0.0002 * 0.5);
+  // 20 chunks of 0.2 ms over at most two threads.
+  EXPECT_GE(std::chrono::duration<double>(elapsed).count(),
+            20 * 0.0002 / 2 * 0.5);
+}
+
+TEST(Scheduler, ReduceSumIsBitwiseDeterministic) {
+  // Alternating 1e16 and 1.0 with one summand per chunk: 1e16 + 1 rounds
+  // back to 1e16, so any change in summation order changes the bits.
+  Scheduler sched(test_profile(4));
+  constexpr std::int64_t kN = 4096;
+  const auto summand = [](std::int64_t i) { return i % 2 == 0 ? 1e16 : 1.0; };
+  const auto reduce = [&] {
+    return sched.parallel_reduce_sum(0, kN, 1,
+                                     [&](std::int64_t b, std::int64_t e) {
+                                       double acc = 0.0;
+                                       for (std::int64_t i = b; i < e; ++i) {
+                                         acc += summand(i);
+                                       }
+                                       return acc;
+                                     });
+  };
+  double in_order = 0.0;
+  for (std::int64_t i = 0; i < kN; ++i) in_order += summand(i);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int repeat = 0; repeat < 100; ++repeat) {
+    ASSERT_EQ(bits(reduce()), bits(in_order)) << "repeat " << repeat;
+  }
+  // From inside another region the team is busy, so the inline path runs
+  // the reduction: same chunks, same order, same bits.
+  double nested = 0.0;
+  sched.parallel_for(0, 2, 1, [&](std::int64_t b, std::int64_t) {
+    if (b == 0) nested = reduce();
+  });
+  EXPECT_EQ(bits(nested), bits(in_order));
+}
+
+TEST(Scheduler, ConcurrentCallersShareOneTeam) {
+  // Client threads on one scheduler: one owns the team at a time, the
+  // others run their regions inline.  Every region must cover its range
+  // exactly once, and a client whose regions throw must not disturb the
+  // others.
+  Scheduler sched(test_profile(4));
+  constexpr int kClients = 4;
+  constexpr int kRegions = 50;
+  constexpr std::int64_t kN = 1024;
+  std::atomic<int> bad_regions{0};
+  std::atomic<int> caught{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      for (int r = 0; r < kRegions; ++r) {
+        std::vector<std::atomic<int>> hits(kN);
+        sched.parallel_for(0, kN, 8, [&](std::int64_t b, std::int64_t e) {
+          for (std::int64_t i = b; i < e; ++i) {
+            hits[static_cast<std::size_t>(i)].fetch_add(1);
+          }
+        });
+        for (const auto& hit : hits) {
+          if (hit.load() != 1) {
+            bad_regions.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  clients.emplace_back([&] {
+    for (int r = 0; r < kRegions; ++r) {
+      try {
+        sched.parallel_for(0, kN, 8, [](std::int64_t b, std::int64_t) {
+          if (b == 512) throw NumericalError("client failure");
+        });
+      } catch (const NumericalError&) {
+        caught.fetch_add(1);
+      }
+    }
+  });
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(bad_regions.load(), 0);
+  EXPECT_EQ(caught.load(), kRegions);
 }
 
 // ------------------------------------------------------------ profiles --
@@ -188,7 +246,7 @@ TEST(Scheduler, ActiveWorkerThrottleNarrowsAndRestoresThePool) {
   EXPECT_EQ(sched.active_workers(), 4);
 
   // Throttled to one worker, every index must still be covered exactly
-  // once — parked workers' tasks stay stealable, nothing is lost.
+  // once — the caller runs every chunk, nothing is lost.
   sched.set_active_workers(1);
   EXPECT_EQ(sched.active_workers(), 1);
   constexpr std::int64_t kN = 4096;
@@ -209,7 +267,7 @@ TEST(Scheduler, ActiveWorkerThrottleNarrowsAndRestoresThePool) {
   sched.set_active_workers(99);
   EXPECT_EQ(sched.active_workers(), 4);
 
-  // Restored pool still covers ranges (workers woke back up).
+  // Restored team still covers ranges (helpers woke back up).
   std::vector<std::atomic<int>> again(kN);
   sched.parallel_for(0, kN, 16, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
@@ -270,37 +328,21 @@ TEST(MachineProfile, PresetsAreDistinctAndValid) {
   EXPECT_NE(b.spawn_overhead_ns, c.spawn_overhead_ns);
 }
 
+TEST(MachineProfile, DefaultNeverExceedsHardware) {
+  // 0 means the hardware reports no count; the default then keeps 8.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  for (const MachineProfile& p : {MachineProfile{}, profile_by_name("default"),
+                                  harpertown_profile()}) {
+    EXPECT_GE(p.threads, 1);
+    if (hw > 0) {
+      EXPECT_LE(p.threads, hw);
+    }
+  }
+}
+
 TEST(MachineProfile, SerialProfileNeverSplits) {
   Scheduler sched(serial_profile());
   EXPECT_EQ(sched.thread_count(), 1);
-}
-
-TEST(Spinlock, MutualExclusionUnderContention) {
-  Spinlock lock;
-  std::int64_t counter = 0;  // deliberately unsynchronized except via lock
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIncrements; ++i) {
-        lock.lock();
-        ++counter;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(counter, kThreads * kIncrements);
-}
-
-TEST(Spinlock, TryLockReportsContention) {
-  Spinlock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());  // already held
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 }  // namespace

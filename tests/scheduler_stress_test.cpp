@@ -1,9 +1,11 @@
-// Stress and failure-injection tests for the work-stealing runtime:
-// randomised nested spawns, many concurrent groups, exception storms,
+// Stress and failure-injection tests for the fork/join team: randomised
+// nested regions, many regions from external threads, exception storms,
 // oversubscription, and profile edge cases.
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,38 +57,43 @@ TEST(SchedulerStress, ThreeLevelNestingDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 4 * 4 * 16);
 }
 
-TEST(SchedulerStress, ManyConcurrentGroupsFromExternalThread) {
+TEST(SchedulerStress, ManyRegionsFromExternalThreads) {
   Scheduler sched(stress_profile(4));
-  constexpr int kGroups = 16;
-  constexpr int kTasksPerGroup = 64;
-  std::vector<std::unique_ptr<TaskGroup>> groups;
+  constexpr int kThreads = 4;
+  constexpr int kRegionsPerThread = 16;
+  constexpr int kChunksPerRegion = 64;
   std::atomic<int> count{0};
-  for (int g = 0; g < kGroups; ++g) {
-    groups.push_back(std::make_unique<TaskGroup>());
-    for (int t = 0; t < kTasksPerGroup; ++t) {
-      sched.spawn(*groups.back(), [&count] { count.fetch_add(1); });
-    }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRegionsPerThread; ++r) {
+        sched.parallel_for(0, kChunksPerRegion, 1,
+                           [&count](std::int64_t, std::int64_t) {
+                             count.fetch_add(1);
+                           });
+      }
+    });
   }
-  for (auto& group : groups) sched.wait(*group);
-  EXPECT_EQ(count.load(), kGroups * kTasksPerGroup);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(count.load(), kThreads * kRegionsPerThread * kChunksPerRegion);
 }
 
-TEST(SchedulerStress, ExceptionStormDeliversOnePerGroupAndSurvives) {
+TEST(SchedulerStress, ExceptionStormDeliversOnePerRegionAndSurvives) {
   Scheduler sched(stress_profile(4));
   for (int round = 0; round < 10; ++round) {
-    TaskGroup group;
-    for (int t = 0; t < 32; ++t) {
-      sched.spawn(group, [t] {
-        if (t % 2 == 0) throw NumericalError("boom " + std::to_string(t));
-      });
-    }
-    EXPECT_THROW(sched.wait(group), NumericalError);
+    EXPECT_THROW(sched.parallel_for(0, 32, 1,
+                                    [](std::int64_t b, std::int64_t) {
+                                      if (b % 2 == 0) {
+                                        throw NumericalError(
+                                            "boom " + std::to_string(b));
+                                      }
+                                    }),
+                 NumericalError);
   }
   // Scheduler still healthy afterwards.
   std::atomic<int> ok{0};
-  TaskGroup group;
-  for (int t = 0; t < 100; ++t) sched.spawn(group, [&ok] { ok.fetch_add(1); });
-  sched.wait(group);
+  sched.parallel_for(0, 100, 1,
+                     [&ok](std::int64_t, std::int64_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 100);
 }
 
@@ -105,10 +112,10 @@ TEST(SchedulerStress, RepeatedConstructionAndDestruction) {
   // recently (worker threads parked or spinning).
   for (int round = 0; round < 12; ++round) {
     Scheduler sched(stress_profile(1 + round % 6));
-    std::atomic<int> hits{0};
-    TaskGroup group;
-    for (int t = 0; t < 10; ++t) sched.spawn(group, [&hits] { hits++; });
-    sched.wait(group);
+    std::atomic<std::int64_t> hits{0};
+    sched.parallel_for(0, 10, 1, [&hits](std::int64_t b, std::int64_t e) {
+      hits.fetch_add(e - b);
+    });
     ASSERT_EQ(hits.load(), 10);
   }
 }
@@ -148,31 +155,29 @@ TEST(SchedulerStress, SpawnOverheadScalesWithProfileKnob) {
   slow.spawn_overhead_ns = 100000;
   MachineProfile fast = stress_profile(2);
   fast.spawn_overhead_ns = 0;
-  const auto time_spawns = [](Scheduler& sched) {
-    TaskGroup group;
+  const auto time_chunks = [](Scheduler& sched) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < 50; ++i) sched.spawn(group, [] {});
+    sched.parallel_for(0, 50, 1, [](std::int64_t, std::int64_t) {});
     const auto dt = std::chrono::steady_clock::now() - t0;
-    sched.wait(group);
     return std::chrono::duration<double>(dt).count();
   };
   Scheduler sched_slow(slow);
   Scheduler sched_fast(fast);
-  EXPECT_GT(time_spawns(sched_slow), time_spawns(sched_fast));
+  EXPECT_GT(time_chunks(sched_slow), time_chunks(sched_fast));
 }
 
 TEST(SchedulerStress, WorkDistributionReachesMultipleWorkers) {
-  // With long-running leaf tasks, at least half the pool must participate
-  // (validates that stealing spreads work, not just that results are
+  // With long-running chunks, several of the team's threads must take part
+  // (validates that the team spreads work, not just that results are
   // correct).
   Scheduler sched(stress_profile(8));
   std::atomic<std::uint64_t> worker_mask{0};
   std::atomic<int> counter{0};
   sched.parallel_for(0, 64, 1, [&](std::int64_t, std::int64_t) {
-    // Identify the executing worker via a per-thread hash.
+    // Identify the executing thread via a per-thread hash.
     const auto id = std::hash<std::thread::id>{}(std::this_thread::get_id());
     worker_mask.fetch_or(std::uint64_t{1} << (id % 61));
-    // Busy work so the region lasts long enough for thieves to engage.
+    // Busy work so the region lasts long enough for parked helpers to wake.
     volatile double sink = 0.0;
     for (int i = 0; i < 200000; ++i) sink = sink + i;
     counter.fetch_add(1);
