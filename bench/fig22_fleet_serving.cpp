@@ -1,13 +1,13 @@
 // "Figure 22" (beyond the paper): fleet-scale serving.  Two experiments
 // on one tuned variable-coefficient service:
 //
-//  A. Batched multi-RHS amortization — K right-hand sides solved through
-//     SolveService::solve_batch vs K solo solves.  The fused residual and
-//     point-SOR kernels load each coefficient row once per sweep and apply
-//     it to all K iterates (line sweeps run K solo sweeps back to back),
-//     so throughput should grow with K while every slot stays
-//     bitwise identical to its solo solve (divergences are counted and
-//     must be zero).
+//  A. Batched solves vs solo — K right-hand sides solved through
+//     SolveService::solve_batch vs K solo solve() calls.  A batch is K
+//     solo solves under one session pin and one accuracy resolution, so
+//     the throughput ratio should read ~1.0x at every K (it measures the
+//     per-request service overhead a batch saves, nothing more) and every
+//     slot stays bitwise identical to its solo solve (divergences are
+//     counted and must be zero).
 //
 //  B. Session-cache pressure — a mixed scenario workload (sizes ×
 //     accuracies × V/FMG) under a ServicePolicy byte budget deliberately
@@ -47,16 +47,15 @@ bool bitwise_equal(const Grid2D& a, const Grid2D& b) {
 int main_impl(int argc, const char* const* argv) {
   auto maybe = parse_settings(
       argc, argv, "fig22_fleet_serving",
-      "Fig 22: batched multi-RHS amortization and session-cache eviction "
-      "under a fleet byte budget");
+      "Fig 22: batched vs solo solves and session-cache eviction under a "
+      "fleet byte budget");
   if (!maybe) return 0;
   const Settings settings = *maybe;
   const auto dist = InputDistribution::kUnbiased;
   // Per-request latency must stay laptop-scale across the whole sweep.
   const int top_level = std::min(settings.max_level, 8);
-  // A variable-coefficient family so the multi-RHS fusion has real
-  // coefficient streams to amortize (Poisson's constant-coefficient fast
-  // path has nothing to re-load in the first place).
+  // A variable-coefficient family, so every solve streams real
+  // coefficients (Poisson's fast path reads none).
   const OperatorFamily family = OperatorFamily::kJumpCoefficient;
 
   Engine engine(engine_options(settings, rt::MachineProfile{}));
@@ -78,9 +77,7 @@ int main_impl(int argc, const char* const* argv) {
   request.accuracy_index = acc_index;
   {
     // Warm the session + scratch outside every timed region — one solo
-    // solve, then one widest batch so the multi walk's extra pool leases
-    // (per-RHS residual grids, line-solve workspaces) exist before
-    // any timed trial.
+    // solve, then one widest batch — before any timed trial.
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
     batch_service.solve(x, inst.problem.b, request);
@@ -281,7 +278,7 @@ int main_impl(int argc, const char* const* argv) {
   emit_bench_json(settings, "fig22_fleet_serving", doc);
 
   emit_table(settings, "fig22_fleet_serving_batch",
-             "Figure 22a: batched multi-RHS throughput vs solo (" +
+             "Figure 22a: solve_batch throughput vs solo solves (" +
                  to_string(family) + ", n=" + std::to_string(n) + ")",
              batch_table);
   emit_table(settings, "fig22_fleet_serving_pressure",

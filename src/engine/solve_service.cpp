@@ -12,6 +12,19 @@
 
 namespace pbmg {
 
+namespace {
+
+// The per-slot dispatch solve() and solve_batch() share.
+SolveStats solve_on(const SolveSession& session, Grid2D& x, const Grid2D& b,
+                    int accuracy_index, const SolveRequest& request) {
+  return request.fmg ? session.solve_fmg(x, b, accuracy_index,
+                                         request.profile, request.residual)
+                     : session.solve_v(x, b, accuracy_index, request.profile,
+                                       request.residual);
+}
+
+}  // namespace
+
 SolveService::SolveService(Engine& engine, tune::TunedConfig config,
                            ServicePolicy policy)
     : engine_(engine),
@@ -275,11 +288,7 @@ SolveStats SolveService::solve(Grid2D& x, const Grid2D& b,
     index = request.accuracy_index >= 0
                 ? request.accuracy_index
                 : bound->accuracy_index(request.target_accuracy);
-    stats = request.fmg
-                ? bound->solve_fmg(x, b, index, request.profile,
-                                   request.residual)
-                : bound->solve_v(x, b, index, request.profile,
-                                 request.residual);
+    stats = solve_on(*bound, x, b, index, request);
     stats.generation = gen->id;
   } catch (...) {
     failures_total_.add(1);
@@ -329,22 +338,24 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
                 ? request.accuracy_index
                 : bound->accuracy_index(request.target_accuracy);
     batch_size_.record(static_cast<double>(xs.size()));
-    if (request.fmg) {
-      // FULL-MULTIGRID has no fused multi-RHS walk (its ESTIMATE ramp is
-      // inherently per-iterate), so an FMG batch is a loop of solo
-      // solves — same results, no amortization.
-      all.reserve(xs.size());
-      for (Grid2D* x : xs) {
-        all.push_back(bound->solve_fmg(*x, b_template, index,
-                                       request.profile, request.residual));
-      }
-    } else {
-      all = bound->solve_batch_v(xs, b_template, index, request.profile,
-                                 request.residual);
+    // A malformed batch fails before any slot is touched, so a bad slot
+    // k never leaves slots 0..k-1 solved behind a thrown error.
+    for (const Grid2D* x : xs) {
+      PBMG_CHECK(x != nullptr, "solve_batch: null iterate");
+      PBMG_CHECK(x->n() == b_template.n(),
+                 "solve_batch: iterate size " + std::to_string(x->n()) +
+                     " does not match b_template's n=" +
+                     std::to_string(b_template.n()));
     }
-    for (SolveStats& stats : all) stats.generation = gen->id;
+    // Each slot is a solo solve under the one pin and accuracy resolved
+    // above, so every xs[k] is bitwise what solve(xs[k], ...) gives.
+    all.reserve(xs.size());
+    for (Grid2D* x : xs) {
+      all.push_back(solve_on(*bound, *x, b_template, index, request));
+      all.back().generation = gen->id;
+    }
   } catch (...) {
-    // A throw mid-walk fails every request in the batch.
+    // A throw fails every request in the batch.
     failures_total_.add(count);
     requests_error_.add(count);
     failure_seconds_.record(now_seconds() - t0);
@@ -352,12 +363,12 @@ std::vector<SolveStats> SolveService::solve_batch(std::span<Grid2D* const> xs,
     stats_.failures += count;
     throw;
   }
-  // One latency sample per batch: the fused walk has one wall-clock (the
-  // FMG loop's per-solve times sum to it), so per-RHS samples would
-  // overcount the histogram K-fold.  The sample is healthy only when
-  // EVERY RHS converged; outcome counters still split per RHS.  Batched
-  // samples never feed the drift watcher — batch wall-clock grows with K
-  // and is incomparable to the solo per-solve baseline.
+  // One latency sample per batch: its wall-clock covers every slot's
+  // solve, so per-RHS samples would overcount the histogram K-fold.  The
+  // sample is healthy only when EVERY RHS converged; outcome counters
+  // still split per RHS.  Batched samples never feed the drift watcher —
+  // batch wall-clock grows with K and is incomparable to the solo
+  // per-solve baseline.
   std::int64_t converged = 0;
   for (const SolveStats& stats : all) {
     if (stats.converged) ++converged;

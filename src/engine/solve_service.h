@@ -279,19 +279,18 @@ class SolveService {
                       tune::DynamicResult* detail = nullptr);
 
   /// Solves K iterates against one shared right-hand side `b_template`
-  /// in a single fused multi-RHS plan walk (SolveSession::solve_batch_v):
-  /// every relax/residual sweep loads each coefficient row once and
-  /// applies it to all K iterates, so throughput grows with K while each
-  /// xs[k] finishes bitwise identical to a solo solve(xs[k], b, request).
-  /// `request.fmg` batches degrade gracefully to a loop of solo FMG
-  /// solves (the ramp has no fused walk).  Returns one SolveStats per
-  /// iterate; for the fused V path their `seconds` all carry the batch
-  /// wall-clock, and the service records ONE latency sample per batch —
-  /// into the healthy histogram only when every RHS converged — plus a
-  /// `pbmg_batch_size` histogram sample.  Batched samples do not feed
-  /// the drift watcher: batch wall-clock is not comparable to the solo
-  /// per-solve baseline.  Thread-safe; throws like solve() (a throw
-  /// fails all K requests).
+  /// under one session pin and one accuracy resolution: a loop of the
+  /// session's solo solve_v / solve_fmg (the dispatch solve() uses), so
+  /// each xs[k] finishes bitwise identical to a solo solve(xs[k], b,
+  /// request).  Every slot is checked (non-null, side b_template.n())
+  /// before any is solved; a malformed batch throws InvalidArgument and
+  /// leaves every slot untouched.  Returns one SolveStats per iterate,
+  /// each `seconds` that slot's own solve time.  The service records ONE
+  /// batch-wall-clock latency sample per call — into the healthy
+  /// histogram only when every RHS converged — plus a `pbmg_batch_size`
+  /// histogram sample, and counts every RHS in the outcome counters.
+  /// Batched samples do not feed the drift watcher.  Thread-safe; throws
+  /// like solve() (a throw fails all K requests).
   std::vector<SolveStats> solve_batch(std::span<Grid2D* const> xs,
                                       const Grid2D& b_template,
                                       const SolveRequest& request);

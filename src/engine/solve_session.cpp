@@ -145,73 +145,27 @@ SolveStats SolveSession::solve_v(Grid2D& x, const Grid2D& b,
                                  int accuracy_index,
                                  std::shared_ptr<obs::PhaseProfile> profile,
                                  const ResidualPolicy& check) const {
-  check_operands(x, b);
-  const double r0 = check.enabled ? residual_norm(x, b) : 0.0;
-  const double t0 = now_seconds();
-  const int iterations =
-      executors_.front()->run_v(x, b, accuracy_index, profile.get());
-  const double seconds = now_seconds() - t0;
-  SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-  if (check.enabled) {
-    stats.initial_residual = r0;
-    stats.final_residual = residual_norm(x, b);
-    stats.residual_checked = true;
-    stats.converged =
-        residual_converged(r0, stats.final_residual, check.ratio_limit);
-  }
-  stats.phases = std::move(profile);
-  return stats;
-}
-
-std::vector<SolveStats> SolveSession::solve_batch_v(
-    std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
-    std::shared_ptr<obs::PhaseProfile> profile,
-    const ResidualPolicy& check) const {
-  std::vector<SolveStats> all;
-  if (xs.empty()) return all;
-  for (const Grid2D* x : xs) {
-    PBMG_CHECK(x != nullptr, "solve_batch_v: null iterate");
-    check_operands(*x, b);
-  }
-  std::vector<double> r0(xs.size(), 0.0);
-  if (check.enabled) {
-    for (std::size_t k = 0; k < xs.size(); ++k) {
-      r0[k] = residual_norm(*xs[k], b);
-    }
-  }
-  const std::vector<const Grid2D*> bs(xs.size(), &b);
-  const double t0 = now_seconds();
-  const int iterations =
-      executors_.front()->run_v_multi(xs, bs, accuracy_index,
-                                    profile.get());
-  const double seconds = now_seconds() - t0;
-  all.reserve(xs.size());
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    // Every entry carries the batch wall-clock (see the header: the K
-    // solves are one fused walk, there is no honest per-request share).
-    SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
-    if (check.enabled) {
-      stats.initial_residual = r0[k];
-      stats.final_residual = residual_norm(*xs[k], b);
-      stats.residual_checked = true;
-      stats.converged =
-          residual_converged(r0[k], stats.final_residual, check.ratio_limit);
-    }
-    stats.phases = profile;
-    all.push_back(std::move(stats));
-  }
-  return all;
+  return timed_solve(&tune::TunedExecutor::run_v, x, b, accuracy_index,
+                     std::move(profile), check);
 }
 
 SolveStats SolveSession::solve_fmg(Grid2D& x, const Grid2D& b,
                                    int accuracy_index,
                                    std::shared_ptr<obs::PhaseProfile> profile,
                                    const ResidualPolicy& check) const {
+  return timed_solve(&tune::TunedExecutor::run_fmg, x, b, accuracy_index,
+                     std::move(profile), check);
+}
+
+SolveStats SolveSession::timed_solve(
+    TunedRun run, Grid2D& x, const Grid2D& b, int accuracy_index,
+    std::shared_ptr<obs::PhaseProfile> profile,
+    const ResidualPolicy& check) const {
   check_operands(x, b);
   const double r0 = check.enabled ? residual_norm(x, b) : 0.0;
   const double t0 = now_seconds();
   const int iterations =
-      executors_.front()->run_fmg(x, b, accuracy_index, profile.get());
+      (executors_.front().get()->*run)(x, b, accuracy_index, profile.get());
   const double seconds = now_seconds() - t0;
   SolveStats stats = stats_for(seconds, accuracy_index, iterations, true);
   if (check.enabled) {

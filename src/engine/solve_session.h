@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +34,7 @@
 ///
 /// A session binds an ordered ladder of per-family tuned configs
 /// (tune::FamilyConfig, nearest family first).  The fixed-plan entry
-/// points (solve_v, solve_fmg, solve_batch_v) always run rung 0; the
+/// points (solve_v, solve_fmg) always run rung 0; the
 /// single-config constructors bind a one-rung ladder.  solve_adaptive is
 /// the paper's §6 dynamic-tuning loop (tune/dynamic.h): residual feedback
 /// escalates up rung 0's accuracy ladder and then across to later rungs'
@@ -156,21 +155,6 @@ class SolveSession {
                        std::shared_ptr<obs::PhaseProfile> profile = nullptr,
                        const ResidualPolicy& check = {}) const;
 
-  /// Batched MULTIGRID-V: solves all K iterates xs[k] against the shared
-  /// right-hand side `b` in ONE fused plan walk (TunedExecutor::
-  /// run_v_multi), so per-sweep setup and every coefficient-stream load
-  /// are paid once for the whole batch instead of once per request.  Each
-  /// xs[k] finishes bitwise identical to solve_v(xs[k], b, ...) solo.
-  /// Returns one SolveStats per iterate; `seconds` on every entry is the
-  /// batch wall-clock (the K solves are inseparable by construction — a
-  /// per-request share would be fiction), which is why SolveService
-  /// records batch latency once per batch, not per RHS.  Residual audits,
-  /// when enabled, run per iterate outside the timed window as in solve_v.
-  std::vector<SolveStats> solve_batch_v(
-      std::span<Grid2D* const> xs, const Grid2D& b, int accuracy_index,
-      std::shared_ptr<obs::PhaseProfile> profile = nullptr,
-      const ResidualPolicy& check = {}) const;
-
   /// Reference V-cycles until `stop` or `max_cycles` (paper §4.2.2).
   SolveStats solve_reference_v(Grid2D& x, const Grid2D& b, int max_cycles,
                                const solvers::StopFn& stop,
@@ -202,6 +186,15 @@ class SolveSession {
                                 const solvers::StopFn& stop) const;
 
  private:
+  /// A tuned plan run of rung 0's executor: run_v or run_fmg.
+  using TunedRun = int (tune::TunedExecutor::*)(Grid2D&, const Grid2D&, int,
+                                               obs::PhaseProfile*) const;
+  /// The one timed-solve body behind solve_v and solve_fmg: checks the
+  /// operands, times `run`, and audits the residual outside the window.
+  SolveStats timed_solve(TunedRun run, Grid2D& x, const Grid2D& b,
+                         int accuracy_index,
+                         std::shared_ptr<obs::PhaseProfile> profile,
+                         const ResidualPolicy& check) const;
   SolveStats stats_for(double seconds, int accuracy_index, int iterations,
                        bool converged) const;
   void check_operands(const Grid2D& x, const Grid2D& b) const;

@@ -195,155 +195,6 @@ void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
   stencil_loop<true>(op, x, &b, r, sched);
 }
 
-namespace {
-
-/// Validates one batched-kernel call: equal span sizes, no null slots,
-/// every grid matching the operator's size.
-void check_multi(const StencilOp& op, std::span<const Grid2D* const> xs,
-                 std::span<const Grid2D* const> bs,
-                 std::span<Grid2D* const> rs, const char* what) {
-  PBMG_CHECK(xs.size() == bs.size() && xs.size() == rs.size(),
-             std::string(what) + ": span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr && rs[k] != nullptr,
-               std::string(what) + ": null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n() &&
-                   rs[k]->n() == op.n(),
-               std::string(what) + ": operator/grid size mismatch");
-  }
-}
-
-/// Fused Poisson residual over K right-hand-sides: one row task walks all
-/// K solution/rhs rows before moving on.  Per-k arithmetic is the solo
-/// residual() loop verbatim.
-void residual_poisson_multi(std::span<const Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs,
-                            std::span<Grid2D* const> rs,
-                            rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              o[j] = rhs[j] - (4.0 * mid[j] - up[j] - down[j] - mid[j - 1] -
-                               mid[j + 1]) *
-                                  inv_h2;
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 5-point residual: coefficient rows are resolved once per grid
-/// row and reused across all K inner sweeps — the coefficient-bandwidth
-/// amortization batching exists for.  Per-k accumulation mirrors
-/// stencil_loop<true> term for term.
-void residual_5pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const double* axr = ax.row(i);
-          const double* ay_up = ay.row(i - 1);
-          const double* ay_dn = ay.row(i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double aw = axr[j - 1];
-              const double ae = axr[j];
-              const double an = ay_up[j];
-              const double as = ay_dn[j];
-              const double diag = ((aw + ae) + an) + as;
-              o[j] = rhs[j] - ((diag * mid[j] - an * up[j] - as * down[j] -
-                                aw * mid[j - 1] - ae * mid[j + 1]) *
-                                   inv_h2 +
-                               c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-/// Fused 9-point residual; per-k accumulation mirrors stencil_loop9<true>.
-void residual_9pt_multi(const StencilOp& op,
-                        std::span<const Grid2D* const> xs,
-                        std::span<const Grid2D* const> bs,
-                        std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  const int n = op.n();
-  const double inv_h2 = static_cast<double>(n - 1) * static_cast<double>(n - 1);
-  const double c = op.c();
-  sched.parallel_for(
-      1, n - 1, sched.grain_for(n - 2, n - 2),
-      [&](std::int64_t ib, std::int64_t ie) {
-        for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-          const NinePointRows rows(op, i);
-          for (std::size_t k = 0; k < xs.size(); ++k) {
-            const Grid2D& x = *xs[k];
-            const double* up = x.row(i - 1);
-            const double* mid = x.row(i);
-            const double* down = x.row(i + 1);
-            const double* rhs = bs[k]->row(i);
-            double* o = rs[k]->row(i);
-            for (int j = 1; j < n - 1; ++j) {
-              const double nb = rows.neighbour_sum(up, mid, down, j);
-              o[j] = rhs[j] -
-                     ((rows.center[j] * mid[j] - nb) * inv_h2 + c * mid[j]);
-            }
-          }
-        }
-      });
-  for (Grid2D* r : rs) zero_boundary(*r);
-}
-
-}  // namespace
-
-void residual_op_multi(const StencilOp& op,
-                       std::span<const Grid2D* const> xs,
-                       std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched) {
-  check_multi(op, xs, bs, rs, "residual_op_multi");
-  if (xs.empty()) return;
-  if (xs.size() == 1) {
-    // K = 1 takes the solo kernel so batch-of-one and solo are the same
-    // code path, not merely bitwise-equal ones.
-    residual_op(op, *xs[0], *bs[0], *rs[0], sched);
-    return;
-  }
-  if (op.is_poisson()) {
-    residual_poisson_multi(xs, bs, rs, sched);
-    return;
-  }
-  if (op.is_nine_point()) {
-    residual_9pt_multi(op, xs, bs, rs, sched);
-    return;
-  }
-  residual_5pt_multi(op, xs, bs, rs, sched);
-}
-
 void restrict_full_weighting(const Grid2D& fine, Grid2D& coarse,
                              rt::Scheduler& sched) {
   check_valid(fine, "restrict_full_weighting");

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <span>
-
 #include "grid/grid2d.h"
 #include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
@@ -45,19 +43,6 @@ void apply_op(const StencilOp& op, const Grid2D& x, Grid2D& out,
 void residual_op(const StencilOp& op, const Grid2D& x, const Grid2D& b,
                  Grid2D& r, rt::Scheduler& sched,
                  const KernelPolicy& kernels = {});
-
-/// Batched residual: rs[k] = bs[k] − A·xs[k] for K right-hand-sides of
-/// one operator, fused so each coefficient row is loaded once per row
-/// sweep and reused across all K (the batched-serving amortization —
-/// coefficients dominate the 9-point sweep's bandwidth).  Each k's
-/// per-point accumulation order is exactly the solo residual_op order,
-/// so every slot is bitwise identical to K separate calls; the fusion
-/// changes only *when* coefficient loads happen, never the arithmetic.
-/// Requires equal span sizes and all grids matching op.n().
-void residual_op_multi(const StencilOp& op,
-                       std::span<const Grid2D* const> xs,
-                       std::span<const Grid2D* const> bs,
-                       std::span<Grid2D* const> rs, rt::Scheduler& sched);
 
 /// Full-weighting restriction of the fine interior onto the coarse grid:
 /// coarse(I,J) = 1/16 · [1 2 1; 2 4 2; 1 2 1] stencil at fine (2I, 2J).

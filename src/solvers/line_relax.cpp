@@ -368,19 +368,4 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   }
 }
 
-void line_relax_sweep_multi(const grid::StencilOp& op,
-                            std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, RelaxKind kind,
-                            rt::Scheduler& sched, grid::ScratchPool& pool) {
-  PBMG_CHECK(xs.size() == bs.size(),
-             "line_relax_sweep_multi: span size mismatch");
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "line_relax_sweep_multi: null grid slot");
-  }
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    line_relax_sweep(op, *xs[k], *bs[k], kind, sched, pool);
-  }
-}
-
 }  // namespace pbmg::solvers

@@ -66,15 +66,4 @@ void line_relax_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                       grid::ScratchPool& pool,
                       const grid::KernelPolicy& kernels = {});
 
-/// Batched zebra line relaxation: one sweep of each xs[k] against bs[k].
-/// A line sweep already amortizes coefficient traffic across the
-/// same-parity lines of ONE iterate (the batched-Thomas lanes), so this
-/// is a sequential loop over K solo sweeps — trivially bitwise identical
-/// per slot — kept as an entry point so the batched executor treats every
-/// smoother uniformly and a genuinely fused variant can slot in later.
-void line_relax_sweep_multi(const grid::StencilOp& op,
-                            std::span<Grid2D* const> xs,
-                            std::span<const Grid2D* const> bs, RelaxKind kind,
-                            rt::Scheduler& sched, grid::ScratchPool& pool);
-
 }  // namespace pbmg::solvers

@@ -234,153 +234,6 @@ void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   }
 }
 
-namespace {
-
-/// Fused Poisson red-black sweep over K iterates; per-k update order is
-/// the solo sor_sweep(Grid2D&, ...) loop verbatim.
-void sor_sweep_poisson_multi(std::span<Grid2D* const> xs,
-                             std::span<const Grid2D* const> bs, double omega,
-                             rt::Scheduler& sched) {
-  const int n = xs[0]->n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double quarter_omega = 0.25 * omega;
-  const double keep = 1.0 - omega;
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                mid[j] = keep * mid[j] +
-                         quarter_omega * (h2 * rhs[j] + up[j] + down[j] +
-                                          mid[j - 1] + mid[j + 1]);
-              }
-            }
-          }
-        });
-  }
-}
-
-/// Fused 9-point four-colour sweep over K iterates; coefficient rows are
-/// resolved once per grid row and reused across the K inner updates.
-void sor_sweep_nine_multi(const grid::StencilOp& op,
-                          std::span<Grid2D* const> xs,
-                          std::span<const Grid2D* const> bs, double omega,
-                          rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  for (int color = 0; color < 4; ++color) {
-    const int pi = color >> 1;
-    const int pj = color & 1;
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, pi, pj](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            if ((i & 1) != pi) continue;
-            const grid::NinePointRows rows(op, i);
-            const int j0 = 1 + ((1 + pj) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double diag = rows.center[j] + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                const double nb = rows.neighbour_sum(up, mid, down, j);
-                mid[j] = keep * mid[j] + omega * (h2 * rhs[j] + nb) / diag;
-              }
-            }
-          }
-        });
-  }
-}
-
-/// Fused 5-point red-black sweep over K iterates.
-void sor_sweep_5pt_multi(const grid::StencilOp& op,
-                         std::span<Grid2D* const> xs,
-                         std::span<const Grid2D* const> bs, double omega,
-                         rt::Scheduler& sched) {
-  const int n = op.n();
-  const double h2 = mesh_width(n) * mesh_width(n);
-  const double ch2 = op.c() * h2;
-  const double keep = 1.0 - omega;
-  const Grid2D& ax = op.ax_grid();
-  const Grid2D& ay = op.ay_grid();
-  for (int parity = 0; parity <= 1; ++parity) {
-    sched.parallel_for(
-        1, n - 1, sched.grain_for(n - 2, n - 2),
-        [&, parity](std::int64_t ib, std::int64_t ie) {
-          for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-            const double* axr = ax.row(i);
-            const double* ay_up = ay.row(i - 1);
-            const double* ay_dn = ay.row(i);
-            const int j0 = 1 + ((i + 1 + parity) & 1);
-            for (std::size_t k = 0; k < xs.size(); ++k) {
-              const double* up = xs[k]->row(i - 1);
-              double* mid = xs[k]->row(i);
-              const double* down = xs[k]->row(i + 1);
-              const double* rhs = bs[k]->row(i);
-              for (int j = j0; j < n - 1; j += 2) {
-                const double aw = axr[j - 1];
-                const double ae = axr[j];
-                const double an = ay_up[j];
-                const double as = ay_dn[j];
-                const double diag = (((aw + ae) + an) + as) + ch2;
-                PBMG_NUM_ASSERT(diag > 0.0,
-                                "sor_sweep: non-positive stencil diagonal");
-                mid[j] = keep * mid[j] +
-                         omega *
-                             (h2 * rhs[j] + an * up[j] + as * down[j] +
-                              aw * mid[j - 1] + ae * mid[j + 1]) /
-                             diag;
-              }
-            }
-          }
-        });
-  }
-}
-
-}  // namespace
-
-void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
-                     std::span<const Grid2D* const> bs, double omega,
-                     rt::Scheduler& sched) {
-  PBMG_CHECK(xs.size() == bs.size(), "sor_sweep_multi: span size mismatch");
-  if (xs.empty()) return;
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "sor_sweep_multi: null grid slot");
-    PBMG_CHECK(xs[k]->n() == op.n() && bs[k]->n() == op.n(),
-               "sor_sweep_multi: operator/grid size mismatch");
-  }
-  if (xs.size() == 1) {
-    // Batch-of-one takes the solo code path, not merely an equivalent one.
-    sor_sweep(op, *xs[0], *bs[0], omega, sched);
-    return;
-  }
-  if (op.is_poisson()) {
-    sor_sweep_poisson_multi(xs, bs, omega, sched);
-    return;
-  }
-  PBMG_CHECK(is_valid_grid_size(op.n()),
-             "sor_sweep_multi: grid size must be 2^k+1");
-  if (op.is_nine_point()) {
-    sor_sweep_nine_multi(op, xs, bs, omega, sched);
-    return;
-  }
-  sor_sweep_5pt_multi(op, xs, bs, omega, sched);
-}
-
 void jacobi_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                   double omega, Grid2D& scratch, rt::Scheduler& sched) {
   if (op.is_poisson()) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "grid/grid2d.h"
@@ -132,19 +131,6 @@ void jacobi_sweep(Grid2D& x, const Grid2D& b, double omega, Grid2D& scratch,
 void sor_sweep(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
                double omega, rt::Scheduler& sched,
                const grid::KernelPolicy& kernels = {});
-
-/// Batched red-black SOR: one sweep of each xs[k] against bs[k] under one
-/// operator, the K sweeps fused per parity (or colour) × row so each
-/// coefficient row is loaded once and reused across right-hand-sides —
-/// the bandwidth amortization batched serving buys.  The K iterates never
-/// couple, and each k's update order is exactly the solo sor_sweep order,
-/// so every slot is bitwise identical to K separate calls under any
-/// thread count.  Dispatches Poisson / 9-point / 5-point like the solo
-/// overload.  Requires equal span sizes and all grids matching
-/// op.n().
-void sor_sweep_multi(const grid::StencilOp& op, std::span<Grid2D* const> xs,
-                     std::span<const Grid2D* const> bs, double omega,
-                     rt::Scheduler& sched);
 
 /// Weighted-Jacobi sweep for a variable-coefficient operator; same
 /// diagonal handling and fast-path contract as the SOR overload.

@@ -1,7 +1,5 @@
 #include "tune/executor.h"
 
-#include <vector>
-
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/scratch.h"
@@ -75,25 +73,6 @@ int TunedExecutor::run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
   const int level = level_of_size(x.n());
   return run_v_at(x, b, level, accuracy_index, rap_for_top(level, profile),
                   profile);
-}
-
-int TunedExecutor::run_v_multi(std::span<Grid2D* const> xs,
-                               std::span<const Grid2D* const> bs,
-                               int accuracy_index,
-                               obs::PhaseProfile* profile) const {
-  PBMG_CHECK(xs.size() == bs.size(), "run_v_multi: span size mismatch");
-  if (xs.empty()) return 0;
-  const int n = xs[0]->n();
-  for (std::size_t k = 0; k < xs.size(); ++k) {
-    PBMG_CHECK(xs[k] != nullptr && bs[k] != nullptr,
-               "run_v_multi: null grid slot");
-    PBMG_CHECK(xs[k]->n() == n && bs[k]->n() == n,
-               "run_v_multi: grid size mismatch");
-  }
-  if (xs.size() == 1) return run_v(*xs[0], *bs[0], accuracy_index, profile);
-  const int level = level_of_size(n);
-  return run_v_multi_at(xs, bs, level, accuracy_index,
-                        rap_for_top(level, profile), profile);
 }
 
 int TunedExecutor::run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
@@ -232,146 +211,6 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
     grid::interpolate_add(e, x, sched_);
-  }
-  trace(trace::Op::kInterpolate, level);
-
-  relax_once();
-  trace(trace::Op::kRelax, level);
-}
-
-int TunedExecutor::run_v_multi_at(std::span<Grid2D* const> xs,
-                                  std::span<const Grid2D* const> bs,
-                                  int level, int accuracy_index,
-                                  const grid::StencilHierarchy* rap,
-                                  obs::PhaseProfile* profile) const {
-  const VEntry& entry = config_.v_entry(level, accuracy_index);
-  PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
-                                std::to_string(accuracy_index) +
-                                ") was never trained");
-  switch (entry.choice.kind) {
-    case VKind::kDirect: {
-      // The direct base solve has no cross-RHS bandwidth to amortize (its
-      // cost is the factorization, shared either way); a plain loop keeps
-      // each slot on the solo code path.
-      const grid::StencilOp op =
-          op_at(level, grid::Coarsening::kAverage, rap);
-      obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
-      for (std::size_t k = 0; k < xs.size(); ++k) {
-        direct_.solve(op, *bs[k], *xs[k]);
-      }
-      trace(trace::Op::kDirect, level);
-      return 1;
-    }
-    case VKind::kIterSor: {
-      const grid::StencilOp op =
-          op_at(level, grid::Coarsening::kAverage, rap);
-      const double omega =
-          solvers::scaled_omega_opt(xs[0]->n(), relax_.omega_scale);
-      for (int it = 0; it < entry.choice.iterations; ++it) {
-        obs::ScopedPhaseTimer timer(profile, obs::Phase::kRelax, level);
-        solvers::sor_sweep_multi(op, xs, bs, omega, sched_);
-      }
-      trace(trace::Op::kIterative, level, entry.choice.iterations);
-      return entry.choice.iterations;
-    }
-    case VKind::kRecurse:
-      for (int it = 0; it < entry.choice.iterations; ++it) {
-        recurse_body_multi_at(xs, bs, level, entry.choice.sub_accuracy,
-                              entry.choice.smoother, entry.choice.coarsening,
-                              rap, profile);
-      }
-      return entry.choice.iterations;
-  }
-  return 0;  // unreachable; silences -Wreturn-type
-}
-
-void TunedExecutor::recurse_body_multi_at(std::span<Grid2D* const> xs,
-                                          std::span<const Grid2D* const> bs,
-                                          int level, int sub_accuracy_index,
-                                          solvers::RelaxKind smoother,
-                                          grid::Coarsening coarsening,
-                                          const grid::StencilHierarchy* rap,
-                                          obs::PhaseProfile* profile) const {
-  // The solo recurse_body_at, with each kernel swapped for its fused
-  // multi-RHS counterpart (or a per-k loop where there is nothing to
-  // fuse).  Each k's operation sequence — and therefore its accumulation
-  // order — is exactly the solo body's, so the batch stays bitwise
-  // identical per slot while coefficient streams are shared across K.
-  PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
-  PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
-                 sub_accuracy_index < config_.accuracy_count(),
-             "recurse_body: sub-accuracy index out of range");
-  const std::size_t batch = xs.size();
-  const grid::StencilOp op = op_at(level, coarsening, rap);
-  const double recurse_omega = relax_.recurse_omega;
-  const obs::Phase relax_phase = solvers::is_line_relax(smoother)
-                                     ? obs::Phase::kLineSolve
-                                     : obs::Phase::kRelax;
-  const auto relax_once = [&] {
-    obs::ScopedPhaseTimer timer(profile, relax_phase, level);
-    if (solvers::is_line_relax(smoother)) {
-      solvers::line_relax_sweep_multi(op, xs, bs, smoother, sched_, pool_);
-    } else {
-      solvers::sor_sweep_multi(op, xs, bs, recurse_omega, sched_);
-    }
-  };
-  relax_once();
-  trace(trace::Op::kRelax, level);
-
-  const int n = xs[0]->n();
-  const int nc = coarse_size(n);
-  std::vector<grid::ScratchPool::Lease> r_leases;
-  std::vector<grid::ScratchPool::Lease> rc_leases;
-  r_leases.reserve(batch);
-  rc_leases.reserve(batch);
-  std::vector<const Grid2D*> xs_read(xs.begin(), xs.end());
-  std::vector<Grid2D*> rs(batch);
-  std::vector<Grid2D*> rcs(batch);
-  for (std::size_t k = 0; k < batch; ++k) {
-    r_leases.push_back(pool_.acquire(n));
-    rc_leases.push_back(pool_.acquire(nc));
-    rs[k] = &r_leases.back().get();
-    rcs[k] = &rc_leases.back().get();
-  }
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op_multi(op, xs_read, bs, rs, sched_);
-    for (std::size_t k = 0; k < batch; ++k) {
-      grid::restrict_full_weighting(*rs[k], *rcs[k], sched_);
-    }
-  }
-  trace(trace::Op::kRestrict, level);
-
-  std::vector<grid::ScratchPool::Lease> e_leases;
-  e_leases.reserve(batch);
-  std::vector<Grid2D*> es(batch);
-  for (std::size_t k = 0; k < batch; ++k) {
-    e_leases.push_back(pool_.acquire(nc));
-    es[k] = &e_leases.back().get();
-    es[k]->fill(0.0);  // zero guess, zero Dirichlet ring (error equation)
-  }
-  std::vector<const Grid2D*> rcs_read(rcs.begin(), rcs.end());
-  if (sub_accuracy_index == kClassicalCoarse) {
-    if (level - 1 <= 1) {
-      const grid::StencilOp coarse_op = op_at(level - 1, coarsening, rap);
-      obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level - 1);
-      for (std::size_t k = 0; k < batch; ++k) {
-        direct_.solve(coarse_op, *rcs[k], *es[k]);
-      }
-      trace(trace::Op::kDirect, level - 1);
-    } else {
-      recurse_body_multi_at(es, rcs_read, level - 1, kClassicalCoarse,
-                            smoother, coarsening, rap, profile);
-    }
-  } else {
-    run_v_multi_at(es, rcs_read, level - 1, sub_accuracy_index, rap, profile);
-  }
-
-  {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);
-    for (std::size_t k = 0; k < batch; ++k) {
-      grid::interpolate_add(*es[k], *xs[k], sched_);
-    }
   }
   trace(trace::Op::kInterpolate, level);
 

@@ -3,7 +3,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 
 #include "grid/grid2d.h"
 #include "grid/scratch.h"
@@ -75,20 +74,6 @@ class TunedExecutor {
   int run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
             obs::PhaseProfile* profile = nullptr) const;
 
-  /// Runs MULTIGRID-V on K iterates xs[k] against right-hand-sides bs[k]
-  /// simultaneously: one tuned plan walk whose relax/residual sweeps are
-  /// the fused multi-RHS kernels (sor_sweep_multi / residual_op_multi),
-  /// so each coefficient row is loaded once per sweep and reused across
-  /// all K.  Every xs[k] finishes bitwise identical to a solo
-  /// run_v(xs[k], bs[k], accuracy_index) — the fusion reorders memory
-  /// traffic, never each iterate's accumulation — which is the batched
-  /// serving contract SolveService::solve_batch exposes.  All grids must
-  /// share one trained level; returns the top-level iteration count (the
-  /// same for every k, since they execute one plan).
-  int run_v_multi(std::span<Grid2D* const> xs,
-                  std::span<const Grid2D* const> bs, int accuracy_index,
-                  obs::PhaseProfile* profile = nullptr) const;
-
   /// Runs FULL-MULTIGRID at `accuracy_index`; same contract as run_v.
   /// The returned count covers the solve phase at the entry level (the
   /// ESTIMATE ramp's own iterations recurse through their own cells).
@@ -128,17 +113,6 @@ class TunedExecutor {
   int run_v_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
                const grid::StencilHierarchy* rap,
                obs::PhaseProfile* profile) const;
-  int run_v_multi_at(std::span<Grid2D* const> xs,
-                     std::span<const Grid2D* const> bs, int level,
-                     int accuracy_index, const grid::StencilHierarchy* rap,
-                     obs::PhaseProfile* profile) const;
-  void recurse_body_multi_at(std::span<Grid2D* const> xs,
-                             std::span<const Grid2D* const> bs, int level,
-                             int sub_accuracy_index,
-                             solvers::RelaxKind smoother,
-                             grid::Coarsening coarsening,
-                             const grid::StencilHierarchy* rap,
-                             obs::PhaseProfile* profile) const;
   int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
                  const grid::StencilHierarchy* rap,
                  obs::PhaseProfile* profile) const;

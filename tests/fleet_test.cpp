@@ -1,12 +1,13 @@
 // Fleet-serving suite: the byte-budgeted session cache (LRU eviction,
-// SessionRef pinning, retired-generation reclaim) and the batched
-// multi-RHS solve path.  The cache is shared by solve() sizes and
-// solve_op() routed operators, so a stream of distinct operators stays
-// inside the budget too.  Eviction must never destroy a pinned session,
-// an evicted size must rebind to bit-identical solves, solve_batch must
-// bitwise-match K solo solves under any thread count, and binds /
-// batches / installs / trims must be race-free under concurrent clients
-// (this suite runs under TSan and UBSan in CI).
+// SessionRef pinning, retired-generation reclaim) and batched solves
+// (solve_batch: K solo solves under one pin).  The cache is shared by
+// solve() sizes and solve_op() routed operators, so a stream of distinct
+// operators stays inside the budget too.  Eviction must never destroy a
+// pinned session, an evicted size must rebind to bit-identical solves,
+// solve_batch must bitwise-match K solo solves under any thread count,
+// count every RHS once and reject a malformed batch before touching any
+// slot, and binds / batches / installs / trims must be race-free under
+// concurrent clients (this suite runs under TSan and UBSan in CI).
 
 #include <atomic>
 #include <chrono>
@@ -295,32 +296,78 @@ TEST(FleetBatch, BatchAccountingCountsEveryRhsAndOneLatencySample) {
     p.grain_rows = 4;
     return p;
   }());
-  SolveService service(local, trained());
   const int n = size_of_level(3);
   Rng rng(707);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
-  SolveRequest request;
-  request.accuracy_index = 0;
   constexpr int kBatch = 3;
-  std::vector<Grid2D> batch(kBatch, Grid2D(n, 0.0));
-  std::vector<Grid2D*> xs;
-  for (auto& x : batch) {
-    x.copy_from(problem.x0);
-    xs.push_back(&x);
+  for (const bool fmg : {false, true}) {
+    SCOPED_TRACE(fmg ? "fmg" : "v");
+    SolveService service(local, trained());
+    SolveRequest request;
+    request.accuracy_index = 0;
+    request.fmg = fmg;
+    std::vector<Grid2D> batch(kBatch, Grid2D(n, 0.0));
+    std::vector<Grid2D*> xs;
+    for (auto& x : batch) {
+      x.copy_from(problem.x0);
+      xs.push_back(&x);
+    }
+    const std::vector<SolveStats> stats =
+        service.solve_batch(xs, problem.b, request);
+    EXPECT_EQ(service.stats().requests, kBatch);
+    const obs::RegistrySnapshot snapshot = service.metrics_snapshot();
+    EXPECT_EQ(
+        snapshot.counters.at("pbmg_solve_requests_total{outcome=\"ok\"}"),
+        kBatch);
+    // One wall-clock, one healthy latency sample — K per-RHS samples would
+    // overcount the histogram the drift watcher reads.
+    const std::string series = "pbmg_solve_latency_seconds{n=\"" +
+                               std::to_string(n) + "\",acc=\"0\"}";
+    EXPECT_EQ(snapshot.histograms.at(series).count, 1);
+    ASSERT_TRUE(snapshot.histograms.count("pbmg_batch_size"));
+    EXPECT_EQ(snapshot.histograms.at("pbmg_batch_size").count, 1);
+    EXPECT_DOUBLE_EQ(snapshot.histograms.at("pbmg_batch_size").sum, kBatch);
+    // Each slot reports its own solve time, inside the batch's wall-clock.
+    const double batch_seconds = snapshot.histograms.at(series).sum;
+    ASSERT_EQ(stats.size(), static_cast<std::size_t>(kBatch));
+    double slot_sum = 0.0;
+    for (int k = 0; k < kBatch; ++k) {
+      EXPECT_GT(stats[k].seconds, 0.0) << "slot " << k;
+      EXPECT_LE(stats[k].seconds, batch_seconds) << "slot " << k;
+      slot_sum += stats[k].seconds;
+    }
+    EXPECT_LE(slot_sum, batch_seconds);
   }
-  service.solve_batch(xs, problem.b, request);
-  EXPECT_EQ(service.stats().requests, kBatch);
-  const obs::RegistrySnapshot snapshot = service.metrics_snapshot();
-  EXPECT_EQ(snapshot.counters.at("pbmg_solve_requests_total{outcome=\"ok\"}"),
-            kBatch);
-  // One wall-clock, one healthy latency sample — K per-RHS samples would
-  // overcount the histogram the drift watcher reads.
-  const std::string series = "pbmg_solve_latency_seconds{n=\"" +
-                             std::to_string(n) + "\",acc=\"0\"}";
-  EXPECT_EQ(snapshot.histograms.at(series).count, 1);
-  ASSERT_TRUE(snapshot.histograms.count("pbmg_batch_size"));
-  EXPECT_EQ(snapshot.histograms.at("pbmg_batch_size").count, 1);
-  EXPECT_DOUBLE_EQ(snapshot.histograms.at("pbmg_batch_size").sum, kBatch);
+}
+
+TEST(FleetBatch, MalformedBatchFailsBeforeAnySlotIsTouched) {
+  SolveService service(engine(), trained());
+  const int n = size_of_level(kMaxLevel);
+  Rng rng(808);
+  auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
+  Grid2D wrong_size(size_of_level(kMaxLevel - 1), 0.0);
+  std::int64_t failures = 0;
+  for (const bool fmg : {false, true}) {
+    for (Grid2D* bad : {static_cast<Grid2D*>(nullptr), &wrong_size}) {
+      SCOPED_TRACE(std::string(fmg ? "fmg" : "v") +
+                   (bad == nullptr ? " null slot" : " wrong-size slot"));
+      SolveRequest request;
+      request.accuracy_index = 0;
+      request.fmg = fmg;
+      Grid2D first(n, 0.0);
+      first.copy_from(problem.x0);
+      Grid2D last(n, 0.0);
+      last.copy_from(problem.x0);
+      const std::vector<Grid2D*> xs = {&first, bad, &last};
+      EXPECT_THROW(service.solve_batch(xs, problem.b, request),
+                   InvalidArgument);
+      EXPECT_TRUE(bitwise_equal(first, problem.x0));
+      EXPECT_TRUE(bitwise_equal(last, problem.x0));
+      failures += static_cast<std::int64_t>(xs.size());
+      EXPECT_EQ(service.stats().failures, failures);
+    }
+  }
+  EXPECT_EQ(service.stats().requests, 0);
 }
 
 // ---------------------------------------------------------------- races --

@@ -1,16 +1,14 @@
 // Tests for the solver layer: relaxation kernels, the cached/uncached
 // direct solver, V-cycles, full multigrid, and the reference
 // iterate-until-converged drivers the paper benchmarks against.  Also
-// the variable-coefficient kernels' exact-equality contracts: fused
-// multi-RHS sweeps match K solo sweeps bit for bit, results do not
-// depend on the thread count or the run, and the kernel policy accepts
-// only the legacy layout.
+// the variable-coefficient kernels' exact-equality contracts: results
+// do not depend on the thread count or the run, and the kernel policy
+// accepts only the legacy layout.
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -417,14 +415,6 @@ Grid2D random_grid(int n, std::uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-/// Variable-coefficient families covering every kernel: 5-point (smooth,
-/// high-contrast, extreme anisotropy, piecewise rotation) and the 9-point
-/// tensor discretisations.
-constexpr OperatorFamily kParityFamilies[] = {
-    OperatorFamily::kSmoothVariable,  OperatorFamily::kJumpCoefficient,
-    OperatorFamily::kAnisotropic1000, OperatorFamily::kAnisoRotated,
-    OperatorFamily::kAnisoTheta30,    OperatorFamily::kAnisoTheta45};
-
 /// One operator-aware kernel applied in place to x (residual and apply
 /// write their output back into x so every kernel compares the same way).
 using Sweep = void (*)(const grid::StencilOp&, Grid2D&, const Grid2D&,
@@ -495,106 +485,6 @@ TEST(KernelDeterminism, RepeatedRunsAreDeterministic) {
   sor3(op, first, b, engine_with(4));
   sor3(op, second, b, engine_with(4));
   EXPECT_TRUE(bitwise_equal(first, second));
-}
-
-/// Solo-vs-batched check: runs `solo(x, b)` on each of K slots and
-/// `multi(xs, bs)` on identically-seeded copies; every slot must finish
-/// bitwise identical.  The fused multi-RHS kernels reorder only memory
-/// traffic (one coefficient-row load serves all K), never any single
-/// slot's accumulation order, so exact equality is the contract the
-/// batched serving path (SolveService::solve_batch) stands on.
-template <typename Solo, typename Multi>
-void expect_multi_matches_solo(int n, int k_count, std::uint64_t seed,
-                               const Solo& solo, const Multi& multi) {
-  std::vector<Grid2D> b_store;
-  std::vector<Grid2D> solo_store;
-  std::vector<Grid2D> multi_store;
-  for (int k = 0; k < k_count; ++k) {
-    b_store.push_back(random_grid(n, seed + 1000 + static_cast<unsigned>(k)));
-    solo_store.push_back(random_grid(n, seed + static_cast<unsigned>(k)));
-    multi_store.push_back(solo_store.back());
-  }
-  for (int k = 0; k < k_count; ++k) solo(solo_store[k], b_store[k]);
-  std::vector<Grid2D*> xs;
-  std::vector<const Grid2D*> bs;
-  for (int k = 0; k < k_count; ++k) {
-    xs.push_back(&multi_store[k]);
-    bs.push_back(&b_store[k]);
-  }
-  multi(xs, bs);
-  for (int k = 0; k < k_count; ++k) {
-    EXPECT_TRUE(bitwise_equal(solo_store[k], multi_store[k]))
-        << "slot " << k << " of " << k_count;
-  }
-}
-
-void expect_all_multi_parity(const grid::StencilOp& op, int k_count,
-                             int threads, std::uint64_t seed) {
-  const int n = op.n();
-  Engine& eng = engine_with(threads);
-  rt::Scheduler& sched = eng.scheduler();
-  expect_multi_matches_solo(
-      n, k_count, seed,
-      [&](Grid2D& x, const Grid2D& b) { residual_into_x(op, x, b, eng); },
-      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
-        std::vector<Grid2D> r_store(xs.size(), Grid2D(n, 1.0));
-        std::vector<Grid2D*> rs;
-        std::vector<const Grid2D*> xs_read;
-        for (std::size_t k = 0; k < xs.size(); ++k) {
-          rs.push_back(&r_store[k]);
-          xs_read.push_back(xs[k]);
-        }
-        grid::residual_op_multi(op, xs_read, bs, rs, sched);
-        for (std::size_t k = 0; k < xs.size(); ++k) *xs[k] = r_store[k];
-      });
-  expect_multi_matches_solo(
-      n, k_count, seed ^ 0x50F,
-      [&](Grid2D& x, const Grid2D& b) { sor3(op, x, b, eng); },
-      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
-        for (int s = 0; s < 3; ++s) {
-          sor_sweep_multi(op, xs, bs, 1.15, sched);
-        }
-      });
-  expect_multi_matches_solo(
-      n, k_count, seed ^ 0x11E,
-      [&](Grid2D& x, const Grid2D& b) {
-        lines2<RelaxKind::kLineZebraAlt>(op, x, b, eng);
-      },
-      [&](std::vector<Grid2D*>& xs, std::vector<const Grid2D*>& bs) {
-        for (int s = 0; s < 2; ++s) {
-          line_relax_sweep_multi(op, xs, bs, RelaxKind::kLineZebraAlt, sched,
-                                 eng.scratch());
-        }
-      });
-}
-
-TEST(MultiRhsParity, AllFamiliesMatchSolo) {
-  std::uint64_t seed = 0x3A7C;
-  for (const OperatorFamily family : kParityFamilies) {
-    SCOPED_TRACE("family=" + to_string(family));
-    expect_all_multi_parity(make_operator(33, family), /*k_count=*/4,
-                            /*threads=*/4, ++seed);
-  }
-}
-
-TEST(MultiRhsParity, PoissonFastPathAndThreadCountsMatchSolo) {
-  const grid::StencilOp op = grid::StencilOp::poisson(33);
-  std::uint64_t seed = 0xF00D;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_all_multi_parity(op, /*k_count=*/3, threads, ++seed);
-  }
-}
-
-TEST(MultiRhsParity, BatchSizesIncludingSingleAndOddMatchSolo) {
-  // K = 1 routes to the solo code path outright; K = 5 leaves a partial
-  // trailing element in any would-be unrolling.  Both must hold parity.
-  const grid::StencilOp op = make_operator(17, OperatorFamily::kAnisoTheta45);
-  std::uint64_t seed = 0x0DD;
-  for (const int k_count : {1, 2, 5}) {
-    SCOPED_TRACE("k=" + std::to_string(k_count));
-    expect_all_multi_parity(op, k_count, /*threads=*/4, ++seed);
-  }
 }
 
 // -------------------------------------------------------- kernel policy --
