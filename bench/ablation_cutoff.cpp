@@ -1,4 +1,4 @@
-// Ablation: the parallel/sequential cutoff (DESIGN.md §3, paper §3.2.2).
+// Ablation: the parallel/sequential cutoff (paper §3.2.2).
 //
 // PetaBricks tunes a parallel-sequential cutoff per machine; our machine
 // profiles carry one.  This ablation sweeps the cutoff and times reference

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "solvers/relax.h"
@@ -274,11 +275,12 @@ double run_sor(const Settings& settings, Engine& engine,
 double run_reference_v(const Settings& settings, Engine& engine,
                        const tune::TrainingInstance& inst,
                        double target_accuracy, int max_cycles) {
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(inst.problem.n()));
   return probe_then_time(
       settings, engine, inst, target_accuracy, max_cycles, /*check_period=*/1,
       [&](Grid2D& x, const Grid2D& b) {
-        solvers::vcycle(x, b, solvers::VCycleOptions{}, engine.scheduler(),
-                        engine.direct(), engine.scratch());
+        solvers::vcycle(ops, x, b, solvers::VCycleOptions{},
+                        engine.scheduler(), engine.direct(), engine.scratch());
       });
 }
 
@@ -289,18 +291,19 @@ double run_reference_fmg(const Settings& settings, Engine& engine,
   solvers::DirectSolver& direct = engine.direct();
   grid::ScratchPool& pool = engine.scratch();
   const int n = inst.problem.n();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   // Probe: the FMG ramp is iteration 1, then V-cycles polish.
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
-  solvers::full_multigrid(x, inst.problem.b, solvers::VCycleOptions{}, sched,
-                          direct, pool);
+  solvers::full_multigrid(ops, x, inst.problem.b, solvers::VCycleOptions{},
+                          sched, direct, pool);
   int v_cycles = -1;
   if (tune::accuracy_of(inst, x, sched) >= target_accuracy) {
     v_cycles = 0;
   } else {
     for (int it = 1; it <= max_cycles; ++it) {
-      solvers::vcycle(x, inst.problem.b, solvers::VCycleOptions{}, sched,
-                      direct, pool);
+      solvers::vcycle(ops, x, inst.problem.b, solvers::VCycleOptions{},
+                      sched, direct, pool);
       if (tune::accuracy_of(inst, x, sched) >= target_accuracy) {
         v_cycles = it;
         break;
@@ -313,13 +316,13 @@ double run_reference_fmg(const Settings& settings, Engine& engine,
   return time_min(
       settings, [&] { x.copy_from(inst.problem.x0); },
       [&] {
-        solvers::full_multigrid(x, inst.problem.b, solvers::VCycleOptions{},
-                                sched, direct, pool);
+        solvers::full_multigrid(ops, x, inst.problem.b,
+                                solvers::VCycleOptions{}, sched, direct, pool);
         grid::residual(x, inst.problem.b, check_scratch, sched);
         norm_sink += grid::norm2_interior(check_scratch, sched);
         for (int it = 0; it < v_cycles; ++it) {
-          solvers::vcycle(x, inst.problem.b, solvers::VCycleOptions{}, sched,
-                          direct, pool);
+          solvers::vcycle(ops, x, inst.problem.b, solvers::VCycleOptions{},
+                          sched, direct, pool);
           grid::residual(x, inst.problem.b, check_scratch, sched);
           norm_sink += grid::norm2_interior(check_scratch, sched);
         }
@@ -332,18 +335,16 @@ double run_tuned_impl(const Settings& settings, Engine& engine,
                       const tune::TunedConfig& config,
                       const tune::TrainingInstance& inst, int accuracy_index,
                       bool fmg) {
-  rt::Scheduler& sched = engine.scheduler();
-  tune::TunedExecutor executor(config, sched, engine.direct(),
-                               engine.scratch(), nullptr, engine.relax());
   const int n = inst.problem.n();
+  const SolveSession session(engine, config, n);
   Grid2D x(n, 0.0);
   const double seconds = time_min(
       settings, [&] { x.copy_from(inst.problem.x0); },
       [&] {
         if (fmg) {
-          executor.run_fmg(x, inst.problem.b, accuracy_index);
+          session.solve_fmg(x, inst.problem.b, accuracy_index);
         } else {
-          executor.run_v(x, inst.problem.b, accuracy_index);
+          session.solve_v(x, inst.problem.b, accuracy_index);
         }
       });
   // Contract check: a tuned run that misses its accuracy target by an
@@ -351,7 +352,9 @@ double run_tuned_impl(const Settings& settings, Engine& engine,
   // table makes the failure visible instead of rewarding it.
   const double target =
       config.accuracies()[static_cast<std::size_t>(accuracy_index)];
-  if (tune::accuracy_of(inst, x, sched) < 0.1 * target) return kNaN;
+  if (tune::accuracy_of(inst, x, engine.scheduler()) < 0.1 * target) {
+    return kNaN;
+  }
   return seconds;
 }
 
@@ -367,6 +370,27 @@ double run_tuned_fmg(const Settings& settings, Engine& engine,
                      const tune::TunedConfig& config,
                      const tune::TrainingInstance& inst, int accuracy_index) {
   return run_tuned_impl(settings, engine, config, inst, accuracy_index, true);
+}
+
+void run_traced(Engine& engine, const tune::TunedConfig& config,
+                const tune::TrainingInstance& inst, int accuracy_index,
+                bool fmg, trace::CycleTracer& tracer) {
+  const int n = inst.problem.n();
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  grid::StencilHierarchy rap;
+  if (tune::config_uses_rap(config, level_of_size(n))) {
+    rap = grid::StencilHierarchy(grid::StencilOp::poisson(n),
+                                 grid::Coarsening::kRap);
+  }
+  const tune::TunedExecutor executor(
+      config, engine, ops, rap.top_level() >= 1 ? &rap : nullptr, &tracer);
+  Grid2D x(n, 0.0);
+  x.copy_from(inst.problem.x0);
+  if (fmg) {
+    executor.run_fmg(x, inst.problem.b, accuracy_index);
+  } else {
+    executor.run_v(x, inst.problem.b, accuracy_index);
+  }
 }
 
 void emit_table(const Settings& settings, const std::string& name,

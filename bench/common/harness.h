@@ -14,13 +14,14 @@
 #include "support/argparse.h"
 #include "support/json.h"
 #include "support/table.h"
+#include "trace/cycle_trace.h"
 #include "tune/accuracy.h"
 #include "tune/config_cache.h"
 #include "tune/executor.h"
 
 /// \file harness.h
 /// Shared infrastructure for the paper-reproduction benchmark binaries
-/// (one binary per table/figure; see DESIGN.md §5).
+/// (one binary per table or figure of the paper, named after it).
 ///
 /// Responsibilities: benchmark-wide settings (sizes, trials, cache
 /// directory), tuned-config acquisition through the disk cache, evaluation
@@ -126,6 +127,15 @@ double run_tuned_v(const Settings& settings, Engine& engine,
 double run_tuned_fmg(const Settings& settings, Engine& engine,
                      const tune::TunedConfig& config,
                      const tune::TrainingInstance& inst, int accuracy_index);
+
+/// Runs the tuned V (or, with `fmg`, FULL-MULTIGRID) plan at
+/// `accuracy_index` on `inst` once, recording every operation into
+/// `tracer` for cycle-shape rendering.  The executor binds the Poisson
+/// ladder of inst's size plus its Galerkin RAP ladder when the config
+/// holds RAP cells — the operators a SolveSession of that size binds.
+void run_traced(Engine& engine, const tune::TunedConfig& config,
+                const tune::TrainingInstance& inst, int accuracy_index,
+                bool fmg, trace::CycleTracer& tracer);
 
 /// Prints a titled table to stdout, writes `<name>.csv`, and writes
 /// machine-readable `BENCH_<name>.json` (columns, rows, and median/p90 of

@@ -26,15 +26,7 @@ void render_cycles(const Settings& settings, Engine& engine,
   const char* roman[] = {"i", "ii", "iii", "iv"};
   for (int i = 0; i < 4 && i < config.accuracy_count(); ++i) {
     trace::CycleTracer tracer;
-    tune::TunedExecutor executor(config, engine.scheduler(), engine.direct(),
-                                 engine.scratch(), &tracer, engine.relax());
-    Grid2D x(n, 0.0);
-    x.copy_from(inst.problem.x0);
-    if (fmg) {
-      executor.run_fmg(x, inst.problem.b, i);
-    } else {
-      executor.run_v(x, inst.problem.b, i);
-    }
+    run_traced(engine, config, inst, i, fmg, tracer);
     out << "  " << roman[i] << ") accuracy "
         << format_accuracy(config.accuracies()[static_cast<std::size_t>(i)])
         << "   [" << trace::summarize(tracer.events()) << "]\n"

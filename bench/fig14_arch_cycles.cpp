@@ -37,11 +37,8 @@ int main_impl(int argc, const char* const* argv) {
     const auto inst = eval_instance(settings, engine, n,
                                     InputDistribution::kUnbiased, /*salt=*/14);
     trace::CycleTracer tracer;
-    tune::TunedExecutor executor(config, engine.scheduler(), engine.direct(),
-                                 engine.scratch(), &tracer, engine.relax());
-    Grid2D x(n, 0.0);
-    x.copy_from(inst.problem.x0);
-    executor.run_fmg(x, inst.problem.b, config.accuracy_index(1e5));
+    run_traced(engine, config, inst, config.accuracy_index(1e5),
+               /*fmg=*/true, tracer);
     out << "--- Figure 14(" << roman[p] << "): " << profiles[p].name
         << ", tuned FULL-MG to 10^5 at N=" << n << " ---\n"
         << "  [" << trace::summarize(tracer.events()) << "]\n"

@@ -31,6 +31,7 @@
 #include "engine/solve_service.h"
 #include "grid/level.h"
 #include "obs/metrics.h"
+#include "support/stats.h"
 #include "support/timer.h"
 #include "tune/config_cache.h"
 
@@ -187,13 +188,19 @@ int main_impl(int argc, const char* const* argv) {
   }
   const int clients = 4;
   const int requests_per_client = std::max(12, 4 * settings.trials);
-  obs::Histogram run_hist;
+  // Each client records its own latencies; merged after join, so the
+  // percentiles are exact order statistics rather than histogram buckets.
+  std::vector<std::vector<double>> client_seconds(
+      static_cast<std::size_t>(clients));
   std::atomic<std::size_t> peak_bytes{0};
   std::atomic<bool> go{false};
   std::atomic<bool> stop_sampler{false};
   std::vector<std::thread> workers;
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
+      std::vector<double>& seconds =
+          client_seconds[static_cast<std::size_t>(c)];
+      seconds.reserve(static_cast<std::size_t>(requests_per_client));
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int r = 0; r < requests_per_client; ++r) {
         const Scenario& s =
@@ -205,7 +212,7 @@ int main_impl(int argc, const char* const* argv) {
         x.copy_from(inst_for.problem.x0);
         const SolveStats stats =
             service.solve(x, inst_for.problem.b, s.request);
-        run_hist.record(stats.seconds);
+        seconds.push_back(stats.seconds);
       }
     });
   }
@@ -229,11 +236,15 @@ int main_impl(int argc, const char* const* argv) {
   stop_sampler.store(true, std::memory_order_release);
   sampler.join();
 
-  const obs::HistogramSnapshot latency = run_hist.snapshot();
+  SampleStats latency;
+  for (const std::vector<double>& seconds : client_seconds) {
+    for (const double t : seconds) latency.add(t);
+  }
+  const auto requests = static_cast<std::int64_t>(latency.count());
   const ServiceStats stats = service.stats();
-  const double rps = static_cast<double>(latency.count) / wall;
+  const double rps = static_cast<double>(requests) / wall;
   TextTable pressure_table({"metric", "value"});
-  pressure_table.add_row({"requests", std::to_string(latency.count)});
+  pressure_table.add_row({"requests", std::to_string(requests)});
   pressure_table.add_row({"wall (s)", format_double(wall)});
   pressure_table.add_row({"req/s", format_double(rps)});
   pressure_table.add_row({"p50 (s)", format_double(latency.percentile(50))});
@@ -256,7 +267,7 @@ int main_impl(int argc, const char* const* argv) {
   doc.set("batch_bit_divergent_total", total_divergent);
   Json pressure = Json::object();
   pressure.set("clients", clients);
-  pressure.set("requests", latency.count);
+  pressure.set("requests", requests);
   pressure.set("wall_s", wall);
   pressure.set("requests_per_second", rps);
   pressure.set("latency_p50_s", latency.percentile(50));

@@ -145,13 +145,14 @@ BENCHMARK(BM_FastPoissonOracle)->Arg(257)->Arg(1025);
 void BM_VCycle(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
   auto& pool = bench_engine().scratch();
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched, direct,
-                    pool);
+    solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched,
+                    direct, pool);
   }
 }
 BENCHMARK(BM_VCycle)->Arg(257)->Arg(1025);
@@ -164,13 +165,14 @@ BENCHMARK(BM_VCycle)->Arg(257)->Arg(1025);
 void BM_VCycleProfilingOff(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
   auto& pool = bench_engine().scratch();
   solvers::VCycleOptions options;  // options.profile == nullptr
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, options, sched, direct, pool);
+    solvers::vcycle(ops, x, problem.b, options, sched, direct, pool);
   }
 }
 BENCHMARK(BM_VCycleProfilingOff)->Arg(257);
@@ -178,6 +180,7 @@ BENCHMARK(BM_VCycleProfilingOff)->Arg(257);
 void BM_VCycleProfilingOn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto problem = problem_for(n);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
   Grid2D x = problem.x0;
   auto& sched = bench_engine().scheduler();
   auto& direct = bench_engine().direct();
@@ -186,7 +189,7 @@ void BM_VCycleProfilingOn(benchmark::State& state) {
   solvers::VCycleOptions options;
   options.profile = &profile;
   for (auto _ : state) {
-    solvers::vcycle(x, problem.b, options, sched, direct, pool);
+    solvers::vcycle(ops, x, problem.b, options, sched, direct, pool);
   }
   benchmark::DoNotOptimize(profile.total_seconds());
 }

@@ -10,6 +10,7 @@
 #include "engine/engine.h"
 #include "grid/level.h"
 #include "grid/problem.h"
+#include "grid/stencil_op.h"
 #include "support/argparse.h"
 #include "support/table.h"
 #include "trace/cycle_trace.h"
@@ -31,7 +32,6 @@ int main(int argc, char** argv) {
   const auto dist = parse_distribution(parser.get_string("distribution"));
   Engine engine;
   auto& sched = engine.scheduler();
-  auto& direct = engine.direct();
 
   tune::TrainerOptions options;
   options.max_level = level_of_size(n);
@@ -43,6 +43,16 @@ int main(int argc, char** argv) {
 
   Rng rng(99);
   auto instance = tune::make_training_instance(n, dist, rng, sched);
+  // The Poisson operator ladder the traced executors run on, plus its
+  // Galerkin RAP ladder when the tuned tables picked RAP coarsening.
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
+  grid::StencilHierarchy rap;
+  if (tune::config_uses_rap(config, options.max_level)) {
+    rap = grid::StencilHierarchy(grid::StencilOp::poisson(n),
+                                 grid::Coarsening::kRap);
+  }
+  const grid::StencilHierarchy* rap_or_null =
+      rap.top_level() >= 1 ? &rap : nullptr;
 
   for (int i = 0; i < config.accuracy_count(); ++i) {
     const std::string acc = format_accuracy(
@@ -53,7 +63,7 @@ int main(int argc, char** argv) {
               << tune::render_call_stack(config, options.max_level, i);
     {
       trace::CycleTracer tracer;
-      tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
+      tune::TunedExecutor executor(config, engine, ops, rap_or_null,
                                    &tracer);
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);
@@ -66,7 +76,7 @@ int main(int argc, char** argv) {
     }
     {
       trace::CycleTracer tracer;
-      tune::TunedExecutor executor(config, sched, direct, engine.scratch(),
+      tune::TunedExecutor executor(config, engine, ops, rap_or_null,
                                    &tracer);
       Grid2D x(n, 0.0);
       x.copy_from(instance.problem.x0);

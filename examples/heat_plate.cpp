@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "fft/fast_poisson.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
@@ -23,7 +24,6 @@
 #include "support/table.h"
 #include "support/timer.h"
 #include "tune/accuracy.h"
-#include "tune/executor.h"
 #include "tune/trainer.h"
 
 int main(int argc, char** argv) {
@@ -69,17 +69,18 @@ int main(int argc, char** argv) {
   x_sor.copy_from(plate.x0);
   WallTimer sor_timer;
   const auto sor_out = solvers::solve_iterated_sor(
-      x_sor, plate.b, solvers::omega_opt(n), 100000,
+      grid::StencilOp::poisson(n), x_sor, plate.b, solvers::omega_opt(n), 100000,
       [&](const Grid2D& state, int) { return accuracy(state) >= target; },
       sched);
   const double sor_seconds = sor_timer.elapsed();
 
   // Reference V cycles.
+  const grid::StencilHierarchy poisson(grid::StencilOp::poisson(n));
   Grid2D x_ref(n, 0.0);
   x_ref.copy_from(plate.x0);
   WallTimer ref_timer;
   const auto ref_out = solvers::solve_reference_v(
-      x_ref, plate.b, solvers::VCycleOptions{}, 100,
+      poisson, x_ref, plate.b, solvers::VCycleOptions{}, 100,
       [&](const Grid2D& state, int) { return accuracy(state) >= target; },
       sched, direct, engine.scratch());
   const double ref_seconds = ref_timer.elapsed();
@@ -93,12 +94,11 @@ int main(int argc, char** argv) {
   tune::Trainer trainer(options, engine);
   std::cout << "Autotuning ..." << std::endl;
   const tune::TunedConfig config = trainer.train();
-  tune::TunedExecutor executor(config, sched, direct, engine.scratch());
+  const SolveSession session(engine, config, n);
   Grid2D x_tuned(n, 0.0);
   x_tuned.copy_from(plate.x0);
-  WallTimer tuned_timer;
-  executor.run_v(x_tuned, plate.b, config.accuracy_index(target));
-  const double tuned_seconds = tuned_timer.elapsed();
+  const double tuned_seconds =
+      session.solve_v(x_tuned, plate.b, config.accuracy_index(target)).seconds;
 
   std::cout << "\nCentre-column temperature profile (tuned solve):\n";
   for (int r = 0; r <= 8; ++r) {

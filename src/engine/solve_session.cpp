@@ -67,8 +67,7 @@ SolveSession::SolveSession(Engine& engine, grid::StencilOp op,
   executors_.reserve(ladder_.size());
   for (const tune::FamilyConfig& rung : ladder_) {
     executors_.push_back(std::make_unique<tune::TunedExecutor>(
-        *rung.config, engine_.scheduler(), engine_.direct(),
-        engine_.scratch(), nullptr, engine_.relax(), &ops_, rap));
+        *rung.config, engine_, ops_, rap));
   }
   // Preallocate the level hierarchy: a V/FMG recursion holds at most
   // three scratch grids per side length at once (residual at the fine

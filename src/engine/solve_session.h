@@ -28,9 +28,10 @@
 /// are concurrent); many client threads may solve through one session as
 /// long as each brings its own x/b grids.
 ///
-/// Sessions constructed without an operator bind the constant-coefficient
-/// Poisson operator — StencilOp's fast path — and execute bit-for-bit the
-/// same arithmetic as before operators existed.
+/// Sessions constructed from a size alone bind the constant-coefficient
+/// Poisson operator — StencilOp's fast path, a hierarchy of zero
+/// coefficient bytes — plus its Galerkin RAP ladder when the config holds
+/// RAP cells.  This is the plain way to run a tuned Poisson solve.
 ///
 /// A session binds an ordered ladder of per-family tuned configs
 /// (tune::FamilyConfig, nearest family first).  The fixed-plan entry

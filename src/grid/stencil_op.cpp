@@ -440,13 +440,6 @@ int StencilHierarchy::n() const {
   return ops_.empty() ? 0 : ops_.back().n();
 }
 
-bool StencilHierarchy::is_poisson() const {
-  for (std::size_t k = 1; k < ops_.size(); ++k) {
-    if (!ops_[k].is_poisson()) return false;
-  }
-  return !ops_.empty();
-}
-
 std::size_t StencilHierarchy::bytes() const {
   std::size_t total = 0;
   for (std::size_t k = 1; k < ops_.size(); ++k) total += ops_[k].bytes();

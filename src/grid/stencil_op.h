@@ -319,8 +319,11 @@ struct NinePointRows {
 /// recursion levels [1, top_level], level k acting on 2^k+1 grids.  Built
 /// once by repeated coarsening (averaged or Galerkin, see Coarsening) and
 /// carried next to the scratch grids by solve sessions, executors and
-/// trainers.  Cheap to copy (levels share coefficient storage with the
-/// ops they were coarsened from).
+/// trainers — every tuned or reference multigrid solve runs against one.
+/// The Poisson ladder is `StencilHierarchy(StencilOp::poisson(n))`: with
+/// averaged coarsening every level is the fast path again, so it holds
+/// zero coefficient bytes.  Cheap to copy (levels share coefficient
+/// storage with the ops they were coarsened from).
 class StencilHierarchy {
  public:
   /// Empty hierarchy; assign before use.
@@ -338,9 +341,6 @@ class StencilHierarchy {
 
   /// Coarsening mode the ladder was built with.
   Coarsening coarsening() const { return mode_; }
-
-  /// True when every level is the Poisson fast path.
-  bool is_poisson() const;
 
   /// Operator at recursion level `level` in [1, top_level].
   const StencilOp& at(int level) const;

@@ -20,7 +20,8 @@
 
 namespace pbmg::linalg {
 
-/// Assembles A (with the 1/h² scaling of DESIGN.md §4) for grid side n.
+/// Assembles A = (4·u − Σ neighbours)/h², h = 1/(n−1) — the operator
+/// grid::apply_poisson applies — for grid side n.
 /// Requires n = 2^k + 1, n >= 3.
 BandMatrix assemble_poisson_band(int n);
 

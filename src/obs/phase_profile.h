@@ -36,7 +36,10 @@ enum class Phase {
   kRestrict,      ///< residual/problem formation + restriction
   kInterpolate,   ///< correction/solution interpolation
   kDirect,        ///< banded-Cholesky base solves
-  kRapSetup,      ///< lazy Galerkin R·A·P ladder construction
+  kRapSetup,      ///< Galerkin R·A·P ladder construction.  No solve
+                  ///< path records it (sessions and trainers build their
+                  ///< ladders up front); perfbench's rap_setup_ms still
+                  ///< reads it
 };
 
 inline constexpr int kPhaseCount = 6;

@@ -10,13 +10,6 @@ namespace pbmg::solvers {
 
 namespace {
 
-/// Operator for `level`: from the hierarchy when one is supplied, else the
-/// constant-coefficient Poisson fast path (which every op-aware kernel
-/// dispatches to the original specialised kernel, bit-for-bit).
-grid::StencilOp op_at(const grid::StencilHierarchy* ops, int level, int n) {
-  return ops != nullptr ? ops->at(level) : grid::StencilOp::poisson(n);
-}
-
 void smooth(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
             const VCycleOptions& options, int sweeps, int level,
             rt::Scheduler& sched, grid::ScratchPool& pool) {
@@ -49,11 +42,11 @@ void smooth(const grid::StencilOp& op, Grid2D& x, const Grid2D& b,
   }
 }
 
-void vcycle_impl(const grid::StencilHierarchy* ops, Grid2D& x,
+void vcycle_impl(const grid::StencilHierarchy& ops, Grid2D& x,
                  const Grid2D& b, int level, const VCycleOptions& options,
                  rt::Scheduler& sched, DirectSolver& direct,
                  grid::ScratchPool& pool) {
-  const grid::StencilOp op = op_at(ops, level, x.n());
+  const grid::StencilOp& op = ops.at(level);
   obs::PhaseProfile* profile = options.profile;
   if (level <= options.direct_level) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
@@ -85,13 +78,13 @@ void vcycle_impl(const grid::StencilHierarchy* ops, Grid2D& x,
   smooth(op, x, b, options, options.post_relax, level, sched, pool);
 }
 
-void fmg_impl(const grid::StencilHierarchy* ops, Grid2D& x, const Grid2D& b,
+void fmg_impl(const grid::StencilHierarchy& ops, Grid2D& x, const Grid2D& b,
               int level, const VCycleOptions& options, rt::Scheduler& sched,
               DirectSolver& direct, grid::ScratchPool& pool) {
   obs::PhaseProfile* profile = options.profile;
   if (level <= options.direct_level) {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
-    direct.solve(op_at(ops, level, x.n()), b, x);
+    direct.solve(ops.at(level), b, x);
     return;
   }
   // Coarsen the *problem*: boundary ring travels by injection, the RHS by
@@ -130,26 +123,6 @@ void check_hierarchy(const grid::StencilHierarchy& ops, const Grid2D& x,
 
 }  // namespace
 
-void vcycle(Grid2D& x, const Grid2D& b, const VCycleOptions& options,
-            rt::Scheduler& sched, DirectSolver& direct,
-            grid::ScratchPool& pool) {
-  PBMG_CHECK(x.n() == b.n(), "vcycle: grid size mismatch");
-  const int level = level_of_size(x.n());
-  PBMG_CHECK(options.direct_level >= 1,
-             "vcycle: direct_level must be >= 1 (N = 3 base case)");
-  vcycle_impl(nullptr, x, b, level, options, sched, direct, pool);
-}
-
-void full_multigrid(Grid2D& x, const Grid2D& b, const VCycleOptions& options,
-                    rt::Scheduler& sched, DirectSolver& direct,
-                    grid::ScratchPool& pool) {
-  PBMG_CHECK(x.n() == b.n(), "full_multigrid: grid size mismatch");
-  const int level = level_of_size(x.n());
-  PBMG_CHECK(options.direct_level >= 1,
-             "full_multigrid: direct_level must be >= 1");
-  fmg_impl(nullptr, x, b, level, options, sched, direct, pool);
-}
-
 void vcycle(const grid::StencilHierarchy& ops, Grid2D& x, const Grid2D& b,
             const VCycleOptions& options, rt::Scheduler& sched,
             DirectSolver& direct, grid::ScratchPool& pool) {
@@ -157,7 +130,7 @@ void vcycle(const grid::StencilHierarchy& ops, Grid2D& x, const Grid2D& b,
   PBMG_CHECK(options.direct_level >= 1,
              "vcycle: direct_level must be >= 1 (N = 3 base case)");
   check_hierarchy(ops, x, "vcycle");
-  vcycle_impl(&ops, x, b, level_of_size(x.n()), options, sched, direct, pool);
+  vcycle_impl(ops, x, b, level_of_size(x.n()), options, sched, direct, pool);
 }
 
 void full_multigrid(const grid::StencilHierarchy& ops, Grid2D& x,
@@ -168,7 +141,7 @@ void full_multigrid(const grid::StencilHierarchy& ops, Grid2D& x,
   PBMG_CHECK(options.direct_level >= 1,
              "full_multigrid: direct_level must be >= 1");
   check_hierarchy(ops, x, "full_multigrid");
-  fmg_impl(&ops, x, b, level_of_size(x.n()), options, sched, direct, pool);
+  fmg_impl(ops, x, b, level_of_size(x.n()), options, sched, direct, pool);
 }
 
 IterationOutcome solve_reference_v(const grid::StencilHierarchy& ops,
@@ -221,62 +194,6 @@ IterationOutcome solve_reference_fmg(const grid::StencilHierarchy& ops,
   }
   for (int it = 2; it <= max_iterations; ++it) {
     vcycle(ops, x, b, options, sched, direct, pool);
-    out.iterations = it;
-    if (stop && stop(x, it)) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
-IterationOutcome solve_iterated_sor(Grid2D& x, const Grid2D& b, double omega,
-                                    int max_iterations, const StopFn& stop,
-                                    rt::Scheduler& sched) {
-  IterationOutcome out;
-  for (int it = 1; it <= max_iterations; ++it) {
-    sor_sweep(x, b, omega, sched);
-    out.iterations = it;
-    if (stop && stop(x, it)) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
-IterationOutcome solve_reference_v(Grid2D& x, const Grid2D& b,
-                                   const VCycleOptions& options,
-                                   int max_iterations, const StopFn& stop,
-                                   rt::Scheduler& sched, DirectSolver& direct,
-                                   grid::ScratchPool& pool) {
-  IterationOutcome out;
-  for (int it = 1; it <= max_iterations; ++it) {
-    vcycle(x, b, options, sched, direct, pool);
-    out.iterations = it;
-    if (stop && stop(x, it)) {
-      out.converged = true;
-      break;
-    }
-  }
-  return out;
-}
-
-IterationOutcome solve_reference_fmg(Grid2D& x, const Grid2D& b,
-                                     const VCycleOptions& options,
-                                     int max_iterations, const StopFn& stop,
-                                     rt::Scheduler& sched,
-                                     DirectSolver& direct,
-                                     grid::ScratchPool& pool) {
-  IterationOutcome out;
-  full_multigrid(x, b, options, sched, direct, pool);
-  out.iterations = 1;
-  if (stop && stop(x, 1)) {
-    out.converged = true;
-    return out;
-  }
-  for (int it = 2; it <= max_iterations; ++it) {
-    vcycle(x, b, options, sched, direct, pool);
     out.iterations = it;
     if (stop && stop(x, it)) {
       out.converged = true;

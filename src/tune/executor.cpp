@@ -1,5 +1,7 @@
 #include "tune/executor.h"
 
+#include <string>
+
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/scratch.h"
@@ -8,78 +10,55 @@
 
 namespace pbmg::tune {
 
-TunedExecutor::TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
-                             solvers::DirectSolver& direct,
-                             grid::ScratchPool& pool,
-                             trace::CycleTracer* tracer,
-                             const solvers::RelaxTunables& relax,
-                             const grid::StencilHierarchy* ops,
-                             const grid::StencilHierarchy* ops_rap)
+TunedExecutor::TunedExecutor(const TunedConfig& config, Engine& engine,
+                             const grid::StencilHierarchy& ops,
+                             const grid::StencilHierarchy* rap,
+                             trace::CycleTracer* tracer)
     : config_(config),
-      sched_(sched),
-      direct_(direct),
-      pool_(pool),
-      tracer_(tracer),
-      relax_(relax),
+      sched_(engine.scheduler()),
+      direct_(engine.direct()),
+      pool_(engine.scratch()),
+      relax_(engine.relax()),
       ops_(ops),
-      ops_rap_(ops_rap),
-      config_uses_rap_(config_uses_rap(config, config.max_level())) {
-  solvers::validate_relax_tunables(relax_);
-  PBMG_CHECK(ops_ == nullptr || ops_->top_level() >= 1,
-             "TunedExecutor: empty operator hierarchy");
-  PBMG_CHECK(ops_rap_ == nullptr || ops_rap_->top_level() >= 1,
-             "TunedExecutor: empty RAP operator hierarchy");
+      rap_(rap),
+      tracer_(tracer) {
+  PBMG_CHECK(ops_.top_level() >= 1, "TunedExecutor: empty operator hierarchy");
+  PBMG_CHECK(rap_ == nullptr || rap_->n() == ops_.n(),
+             "TunedExecutor: RAP ladder and operator hierarchy differ in "
+             "fine-grid size");
+  PBMG_CHECK(rap_ != nullptr || !config_uses_rap(config_, ops_.top_level()),
+             "TunedExecutor: config holds cells tuned for RAP coarsening but "
+             "no RAP ladder was bound");
 }
 
-grid::StencilOp TunedExecutor::op_at(int level, grid::Coarsening coarsening,
-                                     const grid::StencilHierarchy* rap) const {
-  if (coarsening == grid::Coarsening::kRap) {
-    PBMG_CHECK(rap != nullptr,
-               "TunedExecutor: config cell tuned for RAP coarsening but no "
-               "RAP ladder was bound for its operator hierarchy");
-    return rap->at(level);
-  }
-  return ops_ != nullptr ? ops_->at(level)
-                         : grid::StencilOp::poisson(size_of_level(level));
-}
-
-const grid::StencilHierarchy* TunedExecutor::rap_for_top(
-    int top_level, obs::PhaseProfile* profile) const {
-  if (ops_rap_ != nullptr) return ops_rap_;
-  if (ops_ != nullptr || !config_uses_rap_) return nullptr;
-  // Bare (Poisson fast path) executor with RAP cells in its tables: own
-  // the Galerkin ladder of the Poisson operator at this top, built once
-  // per distinct top level and shared by every subsequent solve.  Guarded
-  // so concurrent solves through one executor stay safe; the lock is per
-  // public entry, never inside the recursion.
-  std::lock_guard<std::mutex> lock(poisson_rap_mutex_);
-  auto& slot = poisson_rap_cache_[top_level];
-  if (slot == nullptr) {
-    obs::ScopedPhaseTimer timer(profile, obs::Phase::kRapSetup, top_level);
-    slot = std::make_shared<const grid::StencilHierarchy>(
-        grid::StencilOp::poisson(size_of_level(top_level)),
-        grid::Coarsening::kRap);
-  }
-  return slot.get();
+const grid::StencilOp& TunedExecutor::op_at(
+    int level, grid::Coarsening coarsening) const {
+  return coarsening == grid::Coarsening::kRap ? rap_->at(level)
+                                              : ops_.at(level);
 }
 
 void TunedExecutor::trace(trace::Op op, int level, int detail) const {
   if (tracer_ != nullptr) tracer_->record(op, level, detail);
 }
 
+int TunedExecutor::top_level_for(const Grid2D& x, const Grid2D& b,
+                                 const char* what) const {
+  PBMG_CHECK(x.n() == ops_.n() && b.n() == ops_.n(),
+             std::string(what) + ": grid size " + std::to_string(x.n()) +
+                 " does not match the bound hierarchy's n=" +
+                 std::to_string(ops_.n()));
+  return ops_.top_level();
+}
+
 int TunedExecutor::run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
                          obs::PhaseProfile* profile) const {
-  PBMG_CHECK(x.n() == b.n(), "run_v: grid size mismatch");
-  const int level = level_of_size(x.n());
-  return run_v_at(x, b, level, accuracy_index, rap_for_top(level, profile),
+  return run_v_at(x, b, top_level_for(x, b, "run_v"), accuracy_index,
                   profile);
 }
 
 int TunedExecutor::run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
                            obs::PhaseProfile* profile) const {
-  PBMG_CHECK(x.n() == b.n(), "run_fmg: grid size mismatch");
-  const int level = level_of_size(x.n());
-  return run_fmg_at(x, b, level, accuracy_index, rap_for_top(level, profile),
+  return run_fmg_at(x, b, top_level_for(x, b, "run_fmg"), accuracy_index,
                     profile);
 }
 
@@ -88,24 +67,19 @@ void TunedExecutor::recurse_body(Grid2D& x, const Grid2D& b,
                                  solvers::RelaxKind smoother,
                                  grid::Coarsening coarsening,
                                  obs::PhaseProfile* profile) const {
-  PBMG_CHECK(x.n() == b.n(), "recurse_body: grid size mismatch");
-  const int level = level_of_size(x.n());
-  recurse_body_at(x, b, level, sub_accuracy_index, smoother, coarsening,
-                  rap_for_top(level, profile), profile);
+  recurse_body_at(x, b, top_level_for(x, b, "recurse_body"),
+                  sub_accuracy_index, smoother, coarsening, profile);
 }
 
 void TunedExecutor::estimate(Grid2D& x, const Grid2D& b,
                              int estimate_accuracy_index,
                              obs::PhaseProfile* profile) const {
-  PBMG_CHECK(x.n() == b.n(), "estimate: grid size mismatch");
-  const int level = level_of_size(x.n());
-  estimate_at(x, b, level, estimate_accuracy_index,
-              rap_for_top(level, profile), profile);
+  estimate_at(x, b, top_level_for(x, b, "estimate"), estimate_accuracy_index,
+              profile);
 }
 
 int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
                             int accuracy_index,
-                            const grid::StencilHierarchy* rap,
                             obs::PhaseProfile* profile) const {
   const VEntry& entry = config_.v_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_v: cell (" + std::to_string(level) + "," +
@@ -114,13 +88,12 @@ int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
   switch (entry.choice.kind) {
     case VKind::kDirect: {
       obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
-      direct_.solve(op_at(level, grid::Coarsening::kAverage, rap), b, x);
+      direct_.solve(ops_.at(level), b, x);
       trace(trace::Op::kDirect, level);
       return 1;
     }
     case VKind::kIterSor: {
-      const grid::StencilOp op =
-          op_at(level, grid::Coarsening::kAverage, rap);
+      const grid::StencilOp& op = ops_.at(level);
       const double omega =
           solvers::scaled_omega_opt(x.n(), relax_.omega_scale);
       for (int it = 0; it < entry.choice.iterations; ++it) {
@@ -133,7 +106,7 @@ int TunedExecutor::run_v_at(Grid2D& x, const Grid2D& b, int level,
     case VKind::kRecurse:
       for (int it = 0; it < entry.choice.iterations; ++it) {
         recurse_body_at(x, b, level, entry.choice.sub_accuracy,
-                        entry.choice.smoother, entry.choice.coarsening, rap,
+                        entry.choice.smoother, entry.choice.coarsening,
                         profile);
       }
       return entry.choice.iterations;
@@ -145,7 +118,6 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
                                     int sub_accuracy_index,
                                     solvers::RelaxKind smoother,
                                     grid::Coarsening coarsening,
-                                    const grid::StencilHierarchy* rap,
                                     obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "recurse_body: cannot recurse below level 2");
   PBMG_CHECK(sub_accuracy_index >= kClassicalCoarse &&
@@ -158,7 +130,7 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
   // line variant for operators where point relaxation stalls.  The
   // operator comes from the cell's tuned ladder: averaged coefficients
   // (the historical path) or the exact Galerkin RAP coarse operators.
-  const grid::StencilOp op = op_at(level, coarsening, rap);
+  const grid::StencilOp& op = op_at(level, coarsening);
   const double recurse_omega = relax_.recurse_omega;
   const obs::Phase relax_phase = solvers::is_line_relax(smoother)
                                      ? obs::Phase::kLineSolve
@@ -198,14 +170,14 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
     // classical ramp just as VCycleOptions would carry them).
     if (level - 1 <= 1) {
       obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level - 1);
-      direct_.solve(op_at(level - 1, coarsening, rap), rc, e);
+      direct_.solve(op_at(level - 1, coarsening), rc, e);
       trace(trace::Op::kDirect, level - 1);
     } else {
       recurse_body_at(e, rc, level - 1, kClassicalCoarse, smoother,
-                      coarsening, rap, profile);
+                      coarsening, profile);
     }
   } else {
-    run_v_at(e, rc, level - 1, sub_accuracy_index, rap, profile);
+    run_v_at(e, rc, level - 1, sub_accuracy_index, profile);
   }
 
   {
@@ -220,7 +192,6 @@ void TunedExecutor::recurse_body_at(Grid2D& x, const Grid2D& b, int level,
 
 int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
                               int accuracy_index,
-                              const grid::StencilHierarchy* rap,
                               obs::PhaseProfile* profile) const {
   const FmgEntry& entry = config_.fmg_entry(level, accuracy_index);
   PBMG_CHECK(entry.trained, "run_fmg: cell (" + std::to_string(level) + "," +
@@ -229,14 +200,13 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
   switch (entry.choice.kind) {
     case FmgKind::kDirect: {
       obs::ScopedPhaseTimer timer(profile, obs::Phase::kDirect, level);
-      direct_.solve(op_at(level, grid::Coarsening::kAverage, rap), b, x);
+      direct_.solve(ops_.at(level), b, x);
       trace(trace::Op::kDirect, level);
       return 1;
     }
     case FmgKind::kEstimateThenSor: {
-      estimate_at(x, b, level, entry.choice.estimate_accuracy, rap, profile);
-      const grid::StencilOp op =
-          op_at(level, grid::Coarsening::kAverage, rap);
+      estimate_at(x, b, level, entry.choice.estimate_accuracy, profile);
+      const grid::StencilOp& op = ops_.at(level);
       const double omega =
           solvers::scaled_omega_opt(x.n(), relax_.omega_scale);
       for (int it = 0; it < entry.choice.iterations; ++it) {
@@ -247,10 +217,10 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
       return entry.choice.iterations;
     }
     case FmgKind::kEstimateThenRecurse:
-      estimate_at(x, b, level, entry.choice.estimate_accuracy, rap, profile);
+      estimate_at(x, b, level, entry.choice.estimate_accuracy, profile);
       for (int it = 0; it < entry.choice.iterations; ++it) {
         recurse_body_at(x, b, level, entry.choice.solve_accuracy,
-                        entry.choice.smoother, entry.choice.coarsening, rap,
+                        entry.choice.smoother, entry.choice.coarsening,
                         profile);
       }
       return entry.choice.iterations;
@@ -260,7 +230,6 @@ int TunedExecutor::run_fmg_at(Grid2D& x, const Grid2D& b, int level,
 
 void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
                                 int estimate_accuracy_index,
-                                const grid::StencilHierarchy* rap,
                                 obs::PhaseProfile* profile) const {
   PBMG_CHECK(level >= 2, "estimate: cannot restrict below level 2");
   // Paper §2.4 ESTIMATE_i: coarse-grid correction whose coarse solve is
@@ -277,8 +246,7 @@ void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
   Grid2D& rc = rc_lease.get();
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kRestrict, level);
-    grid::residual_op(op_at(level, grid::Coarsening::kAverage, rap), x, b, r,
-                      sched_);
+    grid::residual_op(ops_.at(level), x, b, r, sched_);
     grid::restrict_full_weighting(r, rc, sched_);
   }
   trace(trace::Op::kRestrict, level);
@@ -286,7 +254,7 @@ void TunedExecutor::estimate_at(Grid2D& x, const Grid2D& b, int level,
   auto e_lease = pool_.acquire(nc);
   Grid2D& e = e_lease.get();
   e.fill(0.0);
-  run_fmg_at(e, rc, level - 1, estimate_accuracy_index, rap, profile);
+  run_fmg_at(e, rc, level - 1, estimate_accuracy_index, profile);
 
   {
     obs::ScopedPhaseTimer timer(profile, obs::Phase::kInterpolate, level);

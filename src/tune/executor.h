@@ -1,9 +1,6 @@
 #pragma once
 
-#include <map>
-#include <memory>
-#include <mutex>
-
+#include "engine/engine.h"
 #include "grid/grid2d.h"
 #include "grid/scratch.h"
 #include "grid/stencil_op.h"
@@ -36,41 +33,34 @@ namespace pbmg::tune {
 /// Executes tuned algorithms described by a TunedConfig.
 class TunedExecutor {
  public:
-  /// Binds the executor to a config and execution resources (normally one
-  /// pbmg::Engine's scheduler/direct/scratch trio).  The config, scheduler,
-  /// direct solver and pool must outlive the executor.  `tracer` may be
-  /// null; when set, every operation is recorded for cycle-shape
-  /// rendering.  `relax` is captured by value so concurrent executors on
-  /// different engines can run different searched weights; the default
-  /// is the paper's weights.  `ops`, when
-  /// non-null, is the averaged-coefficient operator hierarchy the tuned
-  /// algorithms run against (it must outlive the executor and cover every
-  /// level executed); null selects the constant-coefficient Poisson
-  /// operator, exactly as before.  `ops_rap`, when non-null, is the
-  /// Galerkin R·A·P ladder of the same fine operator: cells whose tuned
-  /// coarsening is grid::Coarsening::kRap relax and correct against it.
-  /// A bare executor (no hierarchies at all, the Poisson fast path)
-  /// serves RAP cells by lazily building the Poisson RAP ladder for each
-  /// invoked top level; an executor bound to an averaged hierarchy but
-  /// no RAP ladder throws when a RAP cell executes, because the fine
-  /// operator needed to build one is the caller's.
-  TunedExecutor(const TunedConfig& config, rt::Scheduler& sched,
-                solvers::DirectSolver& direct, grid::ScratchPool& pool,
-                trace::CycleTracer* tracer = nullptr,
-                const solvers::RelaxTunables& relax = {},
-                const grid::StencilHierarchy* ops = nullptr,
-                const grid::StencilHierarchy* ops_rap = nullptr);
+  /// Binds the executor to a config, one Engine's resources (scheduler,
+  /// direct solver, scratch pool and relax weights) and the operator it
+  /// solves.  `ops` is the averaged-coefficient hierarchy of that
+  /// operator — `StencilHierarchy(StencilOp::poisson(n))` for the
+  /// constant-coefficient Poisson fast path, which stores no coefficients
+  /// — and `rap` its Galerkin R·A·P ladder: cells whose tuned coarsening
+  /// is grid::Coarsening::kRap relax and correct against it.  Throws
+  /// InvalidArgument when `ops` is empty, when `rap` was built from a
+  /// fine grid of another size, or when the config holds RAP cells up to
+  /// ops' top level and `rap` is null.  The config, engine and
+  /// hierarchies must outlive the executor.  `tracer` may be null; when
+  /// set, every operation is recorded for cycle-shape rendering.
+  TunedExecutor(const TunedConfig& config, Engine& engine,
+                const grid::StencilHierarchy& ops,
+                const grid::StencilHierarchy* rap = nullptr,
+                trace::CycleTracer* tracer = nullptr);
 
   /// Runs MULTIGRID-V at `accuracy_index` on x (ring = Dirichlet data,
-  /// interior = current guess).  The level is derived from x.n(), which
-  /// must be a trained level of the config.  `profile`, when non-null,
-  /// receives per-(level, phase) wall-time attribution at sweep
-  /// granularity (obs/phase_profile.h); the default null sink keeps the
-  /// solve path free of clock reads.  Returns the number of top-level
-  /// iterations the tuned plan actually executed — RECURSE bodies or SOR
-  /// sweeps at the entry level, or 1 for a direct solve — so callers
-  /// (SolveSession/SolveService) can report real cycle counts instead of
-  /// fabricating them.
+  /// interior = current guess).  x and b must be the bound hierarchy's
+  /// fine size, a trained level of the config (InvalidArgument otherwise:
+  /// below its top a ladder holds coarsened approximations of the
+  /// operator, not the operator).  `profile`, when non-null, receives per-(level, phase)
+  /// wall-time attribution at sweep granularity (obs/phase_profile.h);
+  /// the default null sink keeps the solve path free of clock reads.
+  /// Returns the number of top-level iterations the tuned plan actually
+  /// executed — RECURSE bodies or SOR sweeps at the entry level, or 1 for
+  /// a direct solve — so callers (SolveSession/SolveService) can report
+  /// real cycle counts instead of fabricating them.
   int run_v(Grid2D& x, const Grid2D& b, int accuracy_index,
             obs::PhaseProfile* profile = nullptr) const;
 
@@ -80,83 +70,62 @@ class TunedExecutor {
   int run_fmg(Grid2D& x, const Grid2D& b, int accuracy_index,
               obs::PhaseProfile* profile = nullptr) const;
 
-  /// One application of the RECURSE_j body at x's level (exposed for the
-  /// trainer, which needs to iterate it while measuring accuracy).
-  /// `smoother` selects the pre/post relaxation of the body at *this*
-  /// level — point red-black SOR at the tuned RECURSE ω (the default,
-  /// the paper's shape) or a line variant (solvers/line_relax.h); the
-  /// coarse MULTIGRID-V_j call reads its own levels' tuned smoothers
-  /// from the tables.  `coarsening` selects the operator ladder the body
-  /// relaxes on and corrects against at this level (the coarse call's
-  /// cells again read their own tuned coarsening); at the hierarchy's top
-  /// level both ladders share the fine operator, so the choice is exact
-  /// there and an approximation below — which the trainer measures
-  /// honestly, since candidates race under the same rule.
+  /// One application of the RECURSE_j body at the hierarchy's top level
+  /// (exposed for the trainer, which needs to iterate it while measuring
+  /// accuracy).  `smoother` selects the pre/post relaxation of the body
+  /// at *this* level — point red-black SOR at the tuned RECURSE ω (the
+  /// default, the paper's shape) or a line variant
+  /// (solvers/line_relax.h); the coarse MULTIGRID-V_j call reads its own
+  /// levels' tuned smoothers from the tables.  `coarsening` selects the
+  /// operator ladder the body relaxes on and corrects against at this
+  /// level (the coarse call's cells again read their own tuned
+  /// coarsening); at the hierarchy's top level both ladders share the
+  /// fine operator, so the choice is exact there and an approximation
+  /// below — which the trainer measures honestly, since candidates race
+  /// under the same rule.
   void recurse_body(
       Grid2D& x, const Grid2D& b, int sub_accuracy_index,
       solvers::RelaxKind smoother = solvers::RelaxKind::kSor,
       grid::Coarsening coarsening = grid::Coarsening::kAverage,
       obs::PhaseProfile* profile = nullptr) const;
 
-  /// One application of ESTIMATE_j at x's level (exposed for the trainer).
+  /// One application of ESTIMATE_j at the hierarchy's top level (exposed
+  /// for the trainer).
   void estimate(Grid2D& x, const Grid2D& b, int estimate_accuracy_index,
                 obs::PhaseProfile* profile = nullptr) const;
 
   const TunedConfig& config() const { return config_; }
 
  private:
-  // Every private recursion carries `rap`, the RAP ladder resolved once
-  // at the public entry point for the invoked top level (see
-  // rap_for_top), so deep RECURSE bodies never re-derive it.  The _at
-  // entry points return the executed iteration count at *their* level
-  // (the public methods surface the top level's).
+  // The _at entry points return the executed iteration count at *their*
+  // level (the public methods surface the top level's).
   int run_v_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-               const grid::StencilHierarchy* rap,
                obs::PhaseProfile* profile) const;
   int run_fmg_at(Grid2D& x, const Grid2D& b, int level, int accuracy_index,
-                 const grid::StencilHierarchy* rap,
                  obs::PhaseProfile* profile) const;
   void recurse_body_at(Grid2D& x, const Grid2D& b, int level,
                        int sub_accuracy_index, solvers::RelaxKind smoother,
                        grid::Coarsening coarsening,
-                       const grid::StencilHierarchy* rap,
                        obs::PhaseProfile* profile) const;
   void estimate_at(Grid2D& x, const Grid2D& b, int level,
                    int estimate_accuracy_index,
-                   const grid::StencilHierarchy* rap,
                    obs::PhaseProfile* profile) const;
   void trace(trace::Op op, int level, int detail = 0) const;
 
-  /// Operator at `level` in the requested ladder: the averaged hierarchy
-  /// (or the Poisson fast path when none was bound), or the resolved RAP
-  /// ladder.
-  grid::StencilOp op_at(int level, grid::Coarsening coarsening,
-                        const grid::StencilHierarchy* rap) const;
+  /// Top level of the bound hierarchy; throws unless x and b are its size.
+  int top_level_for(const Grid2D& x, const Grid2D& b, const char* what) const;
 
-  /// RAP ladder for a solve whose fine grid sits at `top_level`: the one
-  /// bound at construction when present; otherwise — for executors bound
-  /// to no hierarchy at all, i.e. the Poisson fast path — a lazily built,
-  /// cached Galerkin ladder of the Poisson operator at that top (only
-  /// when the config actually holds RAP cells).  An executor bound to an
-  /// explicit averaged hierarchy but no RAP ladder returns null; its RAP
-  /// cells then throw in op_at, because the fine operator needed to build
-  /// the ladder is the caller's, not ours to guess.  A lazy build is
-  /// attributed to `profile` as Phase::kRapSetup at `top_level`.
-  const grid::StencilHierarchy* rap_for_top(int top_level,
-                                            obs::PhaseProfile* profile) const;
+  /// Operator at `level` in the requested ladder.
+  const grid::StencilOp& op_at(int level, grid::Coarsening coarsening) const;
 
   const TunedConfig& config_;
   rt::Scheduler& sched_;
   solvers::DirectSolver& direct_;
   grid::ScratchPool& pool_;
+  const solvers::RelaxTunables& relax_;
+  const grid::StencilHierarchy& ops_;
+  const grid::StencilHierarchy* rap_;
   trace::CycleTracer* tracer_;
-  solvers::RelaxTunables relax_;
-  const grid::StencilHierarchy* ops_;
-  const grid::StencilHierarchy* ops_rap_;
-  bool config_uses_rap_;
-  mutable std::mutex poisson_rap_mutex_;  ///< guards the lazy cache below
-  mutable std::map<int, std::shared_ptr<const grid::StencilHierarchy>>
-      poisson_rap_cache_;  ///< keyed by top level; bare-executor path only
 };
 
 }  // namespace pbmg::tune

@@ -158,9 +158,9 @@ class Trainer {
                         double& worst_accuracy);
 
   /// `ops` is the averaged coefficient hierarchy of the level being
-  /// trained (null for the Poisson family, preserving the historical code
-  /// path) and `ops_rap` its Galerkin ladder (null when the coarsening
-  /// candidate list excludes kRap).  `smoothers` is the RECURSE relaxation
+  /// trained (the zero-byte Poisson ladder for the Poisson family) and
+  /// `ops_rap` its Galerkin ladder (null when the coarsening candidate
+  /// list excludes kRap).  `smoothers` is the RECURSE relaxation
   /// candidate list and `coarsenings` the coarse-ladder candidate list
   /// (the full options_ lists for autotuning; point-only/average-only for
   /// the paper's restricted heuristics).
@@ -170,11 +170,11 @@ class Trainer {
                      bool allow_sor,
                      const std::vector<solvers::RelaxKind>& smoothers,
                      const std::vector<grid::Coarsening>& coarsenings,
-                     const grid::StencilHierarchy* ops,
+                     const grid::StencilHierarchy& ops,
                      const grid::StencilHierarchy* ops_rap);
   void train_fmg_level(TunedConfig& config, int level,
                        const std::vector<TrainingInstance>& set,
-                       const grid::StencilHierarchy* ops,
+                       const grid::StencilHierarchy& ops,
                        const grid::StencilHierarchy* ops_rap);
 
   /// Extrapolated direct-solve time at `level` from lower-level

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
+#include "engine/solve_session.h"
 #include "grid/grid_ops.h"
 #include "grid/level.h"
 #include "grid/scratch.h"
 #include "solvers/multigrid.h"
 #include "support/rng.h"
+#include "test_problems.h"
 #include "trace/cycle_trace.h"
 #include "tune/accuracy.h"
 #include "tune/config_cache.h"
@@ -73,15 +75,16 @@ TEST_P(DistributionPipeline, TrainSaveLoadSolveMeetsContract) {
   const int n = size_of_level(5);
   Rng rng(777);
   auto inst = tune::make_training_instance(n, dist, rng, sched());
+  const testing::PoissonLadders ladders(loaded, n);
   for (int i = 0; i < loaded.accuracy_count(); ++i) {
     trace::CycleTracer t1, t2;
     Grid2D x1(n, 0.0), x2(n, 0.0);
     x1.copy_from(inst.problem.x0);
     x2.copy_from(inst.problem.x0);
-    tune::TunedExecutor e1(trained, sched(), engine().direct(),
-                           engine().scratch(), &t1);
-    tune::TunedExecutor e2(loaded, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+    tune::TunedExecutor e1(trained, engine(), ladders.ops,
+                           ladders.rap_or_null(), &t1);
+    tune::TunedExecutor e2(loaded, engine(), ladders.ops,
+                           ladders.rap_or_null(), &t2);
     e1.run_v(x1, inst.problem.b, i);
     e2.run_v(x2, inst.problem.b, i);
     ASSERT_EQ(t1.events().size(), t2.events().size());
@@ -107,11 +110,10 @@ TEST(Integration, TunedConfigRunsUnderDifferentProfile) {
   Rng rng(888);
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, serial);
-  tune::TunedExecutor executor(config, serial, serial_engine.direct(),
-                               serial_engine.scratch());
+  const SolveSession session(serial_engine, config, n);
   Grid2D x(n, 0.0);
   x.copy_from(inst.problem.x0);
-  executor.run_v(x, inst.problem.b, config.accuracy_count() - 1);
+  session.solve_v(x, inst.problem.b, config.accuracy_count() - 1);
   EXPECT_GE(tune::accuracy_of(inst, x, serial),
             0.2 * config.accuracies().back());
 }
@@ -159,12 +161,13 @@ TEST(Integration, ScratchPoolRecyclesAcrossSolves) {
   grid::ScratchPool pool;  // dedicated pool: counts are deterministic
   Rng rng(999);
   auto problem = make_problem(65, InputDistribution::kUnbiased, rng);
+  const grid::StencilHierarchy ops(grid::StencilOp::poisson(65));
   Grid2D x = problem.x0;
-  solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched(),
+  solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched(),
                   engine().direct(), pool);
   const std::size_t after_first = pool.pooled();
   EXPECT_GT(after_first, 0u);  // temporaries returned to the pool
-  solvers::vcycle(x, problem.b, solvers::VCycleOptions{}, sched(),
+  solvers::vcycle(ops, x, problem.b, solvers::VCycleOptions{}, sched(),
                   engine().direct(), pool);
   // Steady state: the second cycle reuses what the first returned.
   EXPECT_EQ(pool.pooled(), after_first);
@@ -187,10 +190,11 @@ TEST(Integration, TracedShapeMatchesTableIterations) {
   if (entry.choice.kind != tune::VKind::kRecurse) {
     GTEST_SKIP() << "top choice is not RECURSE on this machine";
   }
-  trace::CycleTracer tracer;
-  tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch(), &tracer);
   const int n = size_of_level(5);
+  const testing::PoissonLadders ladders(config, n);
+  trace::CycleTracer tracer;
+  tune::TunedExecutor executor(config, engine(), ladders.ops,
+                               ladders.rap_or_null(), &tracer);
   Rng rng(555);
   auto problem = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = problem.x0;
@@ -217,12 +221,11 @@ TEST(Integration, AccuracyLaddersOtherThanPaperDefaultWork) {
   Rng rng(444);
   auto inst = tune::make_training_instance(n, InputDistribution::kUnbiased,
                                            rng, sched());
-  tune::TunedExecutor executor(config, sched(), engine().direct(),
-                               engine().scratch());
+  const SolveSession session(engine(), config, n);
   for (int i = 0; i < 3; ++i) {
     Grid2D x(n, 0.0);
     x.copy_from(inst.problem.x0);
-    executor.run_v(x, inst.problem.b, i);
+    session.solve_v(x, inst.problem.b, i);
     EXPECT_GE(tune::accuracy_of(inst, x, sched()),
               0.2 * options.accuracies[static_cast<std::size_t>(i)]);
   }

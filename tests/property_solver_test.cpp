@@ -99,11 +99,13 @@ TEST_P(SolverSweep, VCycleConvergesOnEveryDistribution) {
   const auto dist = static_cast<InputDistribution>(std::get<0>(GetParam()));
   const int n = std::get<1>(GetParam());
   const auto inst = make_instance(n, dist, 300);
+  const auto ops = testing::poisson_hierarchy(n);
   if (inst.e0 == 0.0) GTEST_SKIP() << "degenerate zero instance";
   DirectSolver direct;
   Grid2D x = inst.problem.x0;
   for (int c = 0; c < 25; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+           pool());
   }
   EXPECT_LE(error_of(inst, x), 1e-8 * inst.e0);
 }
@@ -112,12 +114,15 @@ TEST_P(SolverSweep, FullMultigridConvergesOnEveryDistribution) {
   const auto dist = static_cast<InputDistribution>(std::get<0>(GetParam()));
   const int n = std::get<1>(GetParam());
   const auto inst = make_instance(n, dist, 400);
+  const auto ops = testing::poisson_hierarchy(n);
   if (inst.e0 == 0.0) GTEST_SKIP() << "degenerate zero instance";
   DirectSolver direct;
   Grid2D x = inst.problem.x0;
-  full_multigrid(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+  full_multigrid(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+                 pool());
   for (int c = 0; c < 24; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+           pool());
   }
   EXPECT_LE(error_of(inst, x), 1e-8 * inst.e0);
 }
@@ -307,15 +312,18 @@ TEST_P(ContractionSweep, VCycleContractionIsSizeIndependent) {
   // factor stays bounded away from 1 uniformly in N.
   const int n = GetParam();
   const auto inst = make_instance(n, InputDistribution::kUnbiased, 500);
+  const auto ops = testing::poisson_hierarchy(n);
   DirectSolver direct;
   Grid2D x = inst.problem.x0;
   // Skip the first cycles (transient), then measure the asymptotic rate.
   for (int c = 0; c < 3; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+           pool());
   }
   const double e_before = error_of(inst, x);
   for (int c = 0; c < 3; ++c) {
-    vcycle(x, inst.problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, VCycleOptions{}, sched(), direct,
+           pool());
   }
   const double e_after = error_of(inst, x);
   const double rate = std::cbrt(e_after / e_before);
@@ -407,13 +415,14 @@ TEST_P(CycleOptionSweep, AnySmoothingCombinationConverges) {
                     "converge";
   }
   const auto inst = make_instance(33, InputDistribution::kUnbiased, 900);
+  const auto ops = testing::poisson_hierarchy(33);
   DirectSolver direct;
   VCycleOptions options;
   options.pre_relax = pre;
   options.post_relax = post;
   Grid2D x = inst.problem.x0;
   for (int c = 0; c < 30; ++c) {
-    vcycle(x, inst.problem.b, options, sched(), direct, pool());
+    vcycle(ops, x, inst.problem.b, options, sched(), direct, pool());
   }
   EXPECT_LT(error_of(inst, x), 1e-4 * inst.e0);
 }

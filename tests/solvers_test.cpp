@@ -25,6 +25,7 @@
 #include "solvers/multigrid.h"
 #include "solvers/relax.h"
 #include "support/rng.h"
+#include "test_problems.h"
 
 namespace pbmg::solvers {
 namespace {
@@ -198,31 +199,34 @@ TEST(Direct, ValidatesInputSizes) {
 
 TEST(Multigrid, VCycleContractsErrorQuickly) {
   auto problem = test_problem(65, 50);
+  const auto ops = testing::poisson_hierarchy(65);
   Grid2D x = problem.x0;
   DirectSolver direct;
   const double e0 = solution_error(problem, x);
-  vcycle(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+  vcycle(ops, x, problem.b, VCycleOptions{}, sched(), direct, pool());
   const double e1 = solution_error(problem, x);
   // A 1-pre/1-post SOR(1.15) V-cycle contracts 2-D Poisson error by well
   // over 2× per cycle; typical factors are ~10×.
   EXPECT_LT(e1, 0.5 * e0);
-  vcycle(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+  vcycle(ops, x, problem.b, VCycleOptions{}, sched(), direct, pool());
   EXPECT_LT(solution_error(problem, x), 0.5 * e1);
 }
 
 TEST(Multigrid, VCycleConvergesToHighAccuracy) {
   auto problem = test_problem(33, 51, InputDistribution::kBiased);
+  const auto ops = testing::poisson_hierarchy(33);
   Grid2D x = problem.x0;
   DirectSolver direct;
   const double e0 = solution_error(problem, x);
   for (int c = 0; c < 30; ++c) {
-    vcycle(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+    vcycle(ops, x, problem.b, VCycleOptions{}, sched(), direct, pool());
   }
   EXPECT_LT(solution_error(problem, x), 1e-9 * e0);
 }
 
 TEST(Multigrid, DeeperDirectLevelStillConverges) {
   auto problem = test_problem(33, 52);
+  const auto ops = testing::poisson_hierarchy(33);
   DirectSolver direct;
   for (int direct_level : {1, 2, 3}) {
     Grid2D x = problem.x0;
@@ -230,7 +234,7 @@ TEST(Multigrid, DeeperDirectLevelStillConverges) {
     options.direct_level = direct_level;
     const double e0 = solution_error(problem, x);
     for (int c = 0; c < 10; ++c) {
-      vcycle(x, problem.b, options, sched(), direct, pool());
+      vcycle(ops, x, problem.b, options, sched(), direct, pool());
     }
     EXPECT_LT(solution_error(problem, x), 1e-4 * e0)
         << "direct_level=" << direct_level;
@@ -239,6 +243,7 @@ TEST(Multigrid, DeeperDirectLevelStillConverges) {
 
 TEST(Multigrid, MorePreSmoothingContractsFasterPerCycle) {
   auto problem = test_problem(65, 53);
+  const auto ops = testing::poisson_hierarchy(65);
   DirectSolver direct;
   VCycleOptions one;
   VCycleOptions three;
@@ -246,8 +251,8 @@ TEST(Multigrid, MorePreSmoothingContractsFasterPerCycle) {
   three.post_relax = 3;
   Grid2D x1 = problem.x0;
   Grid2D x3 = problem.x0;
-  vcycle(x1, problem.b, one, sched(), direct, pool());
-  vcycle(x3, problem.b, three, sched(), direct, pool());
+  vcycle(ops, x1, problem.b, one, sched(), direct, pool());
+  vcycle(ops, x3, problem.b, three, sched(), direct, pool());
   EXPECT_LT(solution_error(problem, x3), solution_error(problem, x1));
 }
 
@@ -257,10 +262,12 @@ TEST(Multigrid, FullMultigridPassContractsStrongly) {
   for (auto dist :
        {InputDistribution::kUnbiased, InputDistribution::kBiased}) {
     auto problem = test_problem(65, 54, dist);
+    const auto ops = testing::poisson_hierarchy(65);
     DirectSolver direct;
     Grid2D x = problem.x0;
     const double e0 = solution_error(problem, x);
-    full_multigrid(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+    full_multigrid(ops, x, problem.b, VCycleOptions{}, sched(), direct,
+                   pool());
     EXPECT_LT(solution_error(problem, x), 0.2 * e0)
         << "distribution " << to_string(dist);
   }
@@ -270,29 +277,35 @@ TEST(Multigrid, FullMultigridReachesTruncationLevelAccuracy) {
   // One FMG pass classically reduces the algebraic error to the order of
   // discretisation error; for our metric expect a large reduction factor.
   auto problem = test_problem(129, 55);
+  const auto ops = testing::poisson_hierarchy(129);
   DirectSolver direct;
   Grid2D x = problem.x0;
   const double e0 = solution_error(problem, x);
-  full_multigrid(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+  full_multigrid(ops, x, problem.b, VCycleOptions{}, sched(), direct,
+                 pool());
   EXPECT_LT(solution_error(problem, x), 0.05 * e0);
 }
 
 TEST(Multigrid, BaseCaseGridIsSolvedDirectly) {
   auto problem = test_problem(3, 56);
+  const auto ops = testing::poisson_hierarchy(3);
   DirectSolver direct;
   Grid2D x = problem.x0;
-  vcycle(x, problem.b, VCycleOptions{}, sched(), direct, pool());
+  vcycle(ops, x, problem.b, VCycleOptions{}, sched(), direct, pool());
   EXPECT_LE(solution_error(problem, x),
             1e-10 * (grid::norm2_interior(problem.b, sched()) + 1.0));
 }
 
 TEST(Multigrid, SizeMismatchThrows) {
   Grid2D x(9, 0.0), b(17, 0.0);
+  const auto ops = testing::poisson_hierarchy(9);
   DirectSolver direct;
-  EXPECT_THROW(vcycle(x, b, VCycleOptions{}, sched(), direct, pool()),
-               InvalidArgument);
-  EXPECT_THROW(full_multigrid(x, b, VCycleOptions{}, sched(), direct, pool()),
-               InvalidArgument);
+  EXPECT_THROW(
+      vcycle(ops, x, b, VCycleOptions{}, sched(), direct, pool()),
+      InvalidArgument);
+  EXPECT_THROW(
+      full_multigrid(ops, x, b, VCycleOptions{}, sched(), direct, pool()),
+      InvalidArgument);
 }
 
 // ------------------------------------------------------------ reference --
@@ -306,7 +319,7 @@ TEST(Reference, IteratedSorStopsAtPredicate) {
 
   Grid2D x = problem.x0;
   const auto outcome = solve_iterated_sor(
-      x, problem.b, omega_opt(17), 100000,
+      grid::StencilOp::poisson(17), x, problem.b, omega_opt(17), 100000,
       [&](const Grid2D& state, int) {
         return e0 / grid::norm2_diff_interior(state, x_opt, sched()) >= 1e3;
       },
@@ -320,7 +333,7 @@ TEST(Reference, IteratedSorReportsNonConvergence) {
   auto problem = test_problem(33, 61);
   Grid2D x = problem.x0;
   const auto outcome = solve_iterated_sor(
-      x, problem.b, omega_opt(33), 3,
+      grid::StencilOp::poisson(33), x, problem.b, omega_opt(33), 3,
       [](const Grid2D&, int) { return false; }, sched());
   EXPECT_FALSE(outcome.converged);
   EXPECT_EQ(outcome.iterations, 3);
@@ -328,6 +341,7 @@ TEST(Reference, IteratedSorReportsNonConvergence) {
 
 TEST(Reference, VCycleDriverConvergesToTarget) {
   auto problem = test_problem(65, 62);
+  const auto ops = testing::poisson_hierarchy(65);
   fft::FastPoissonSolver oracle(65);
   Grid2D x_opt(65, 0.0);
   oracle.solve(problem.b, problem.x0, x_opt, sched());
@@ -335,7 +349,7 @@ TEST(Reference, VCycleDriverConvergesToTarget) {
   DirectSolver direct;
   Grid2D x = problem.x0;
   const auto outcome = solve_reference_v(
-      x, problem.b, VCycleOptions{}, 200,
+      ops, x, problem.b, VCycleOptions{}, 200,
       [&](const Grid2D& state, int) {
         return e0 / grid::norm2_diff_interior(state, x_opt, sched()) >= 1e9;
       },
@@ -346,6 +360,7 @@ TEST(Reference, VCycleDriverConvergesToTarget) {
 
 TEST(Reference, FmgDriverNeedsNoMoreCyclesThanV) {
   auto problem = test_problem(65, 63, InputDistribution::kBiased);
+  const auto ops = testing::poisson_hierarchy(65);
   fft::FastPoissonSolver oracle(65);
   Grid2D x_opt(65, 0.0);
   oracle.solve(problem.b, problem.x0, x_opt, sched());
@@ -355,10 +370,10 @@ TEST(Reference, FmgDriverNeedsNoMoreCyclesThanV) {
     return e0 / grid::norm2_diff_interior(state, x_opt, sched()) >= 1e5;
   };
   Grid2D xv = problem.x0;
-  const auto v = solve_reference_v(xv, problem.b, VCycleOptions{}, 200, stop,
-                                   sched(), direct, pool());
+  const auto v = solve_reference_v(ops, xv, problem.b, VCycleOptions{}, 200,
+                                   stop, sched(), direct, pool());
   Grid2D xf = problem.x0;
-  const auto f = solve_reference_fmg(xf, problem.b, VCycleOptions{}, 200,
+  const auto f = solve_reference_fmg(ops, xf, problem.b, VCycleOptions{}, 200,
                                      stop, sched(), direct, pool());
   EXPECT_TRUE(v.converged);
   EXPECT_TRUE(f.converged);

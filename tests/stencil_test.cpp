@@ -2,9 +2,9 @@
 // layer: V-cycle and FMG must contract the error for every operator
 // family at every grid size the trainer visits, the direct solver must
 // reproduce manufactured solutions exactly, per-operator trained sessions
-// must deliver their tuned accuracies, and the Poisson fast path must be
-// bitwise identical to the pre-operator code path.  Fixed seeds
-// throughout; tolerance rationale inline at each assertion.
+// must deliver their tuned accuracies, and a classical-coarse tuned cell
+// must be bitwise a classical V-cycle.  Fixed seeds throughout; tolerance
+// rationale inline at each assertion.
 
 #include <cmath>
 #include <cstring>
@@ -348,9 +348,7 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
         config.v_entry(level, i) = cell;
       }
     }
-    const tune::TunedExecutor executor(config, sched(), engine().direct(),
-                                       engine().scratch(), nullptr,
-                                       engine().relax(), &ops);
+    const tune::TunedExecutor executor(config, engine(), ops);
     Grid2D via_executor = inst.problem.x0;
     executor.run_v(via_executor, inst.problem.b, 0);
 
@@ -366,74 +364,6 @@ TEST(ClassicalCoarse, RecurseClassicalCellIsBitwiseAClassicalVCycle) {
                              via_vcycle.size() * sizeof(double)))
         << solvers::to_string(smoother);
   }
-}
-
-// ----------------------------------------------------- fast-path parity --
-
-TEST(StencilFastPath, PoissonSessionSolveIsBitwiseIdenticalToLegacyPath) {
-  // Acceptance gate: a constant-coefficient solve routed through
-  // StencilOp's fast path (session → executor → op-aware kernels) must be
-  // bit-for-bit what the pre-operator executor produced.  The parity
-  // contract is about the *fast path*, so the table is trained in the
-  // pre-RAP space (averaged coarsening only): a table with Galerkin-RAP
-  // cells runs genuinely different — 9-point — arithmetic by design.
-  tune::TrainerOptions legacy_options = tiny_training(OperatorFamily::kPoisson);
-  legacy_options.coarsenings = {grid::Coarsening::kAverage};
-  const tune::TunedConfig config =
-      tune::Trainer(legacy_options, engine()).train();
-  const int n = size_of_level(4);
-  const auto inst = make_instance(OperatorFamily::kPoisson, n, 2026'07'06);
-  SolveSession session(engine(), config, n);  // Poisson fast path
-
-  // The legacy path: an executor with no operator hierarchy, exactly what
-  // SolveSession constructed before operators existed.
-  const tune::TunedExecutor legacy(config, sched(), engine().direct(),
-                                   engine().scratch(), nullptr,
-                                   engine().relax());
-  for (int i = 0; i < config.accuracy_count(); ++i) {
-    Grid2D via_session = inst.problem.x0;
-    session.solve_v(via_session, inst.problem.b, i);
-    Grid2D via_legacy = inst.problem.x0;
-    legacy.run_v(via_legacy, inst.problem.b, i);
-    ASSERT_EQ(0, std::memcmp(via_session.data(), via_legacy.data(),
-                             via_legacy.size() * sizeof(double)))
-        << "V accuracy index " << i;
-
-    Grid2D fmg_session = inst.problem.x0;
-    session.solve_fmg(fmg_session, inst.problem.b, i);
-    Grid2D fmg_legacy = inst.problem.x0;
-    legacy.run_fmg(fmg_legacy, inst.problem.b, i);
-    ASSERT_EQ(0, std::memcmp(fmg_session.data(), fmg_legacy.data(),
-                             fmg_legacy.size() * sizeof(double)))
-        << "FMG accuracy index " << i;
-  }
-}
-
-TEST(StencilFastPath, PoissonReferenceCyclesAreBitwiseIdenticalToLegacyPath) {
-  const int n = 33;
-  const auto inst = make_instance(OperatorFamily::kPoisson, n, 2026'07'07);
-  const grid::StencilHierarchy ops(grid::StencilOp::poisson(n));
-
-  Grid2D via_ops = inst.problem.x0;
-  Grid2D legacy = inst.problem.x0;
-  for (int c = 0; c < 4; ++c) {
-    solvers::vcycle(ops, via_ops, inst.problem.b, solvers::VCycleOptions{},
-                    sched(), engine().direct(), engine().scratch());
-    solvers::vcycle(legacy, inst.problem.b, solvers::VCycleOptions{}, sched(),
-                    engine().direct(), engine().scratch());
-  }
-  ASSERT_EQ(0, std::memcmp(via_ops.data(), legacy.data(),
-                           legacy.size() * sizeof(double)));
-
-  Grid2D fmg_ops = inst.problem.x0;
-  Grid2D fmg_legacy = inst.problem.x0;
-  solvers::full_multigrid(ops, fmg_ops, inst.problem.b,
-                          solvers::VCycleOptions{}, sched(), engine().direct(),
-                          engine().scratch());
-  solvers::full_multigrid(fmg_legacy, inst.problem.b, solvers::VCycleOptions{},
-                          sched(), engine().direct(), engine().scratch());
-  ASSERT_EQ(0, std::memcmp(fmg_ops.data(), fmg_legacy.data(),
-                           fmg_legacy.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -7,11 +7,13 @@
 #include "fft/fast_poisson.h"
 #include "grid/grid2d.h"
 #include "grid/grid_ops.h"
+#include "grid/level.h"
 #include "grid/problem.h"
 #include "grid/stencil_op.h"
 #include "runtime/scheduler.h"
 #include "support/rng.h"
 #include "tune/accuracy.h"
+#include "tune/table.h"
 
 /// \file test_problems.h
 /// Shared manufactured-problem helpers for the test suites.
@@ -54,6 +56,32 @@ inline tune::TrainingInstance make_family_instance(OperatorFamily family,
   return tune::make_training_instance(op, InputDistribution::kUnbiased, rng,
                                       sched);
 }
+
+/// The constant-coefficient Poisson operator ladder for side n — every
+/// level the zero-byte fast path — that multigrid cycles and reference
+/// drivers run on for the paper's Poisson problem.
+inline grid::StencilHierarchy poisson_hierarchy(int n) {
+  return grid::StencilHierarchy(grid::StencilOp::poisson(n));
+}
+
+/// The Poisson operator ladders a traced tuned solve of `config` at side n
+/// binds to its executor (untraced solves go through SolveSession, which
+/// builds the same pair): the zero-byte averaged hierarchy, plus the
+/// Galerkin RAP ladder when the config holds RAP cells up to n's level.
+struct PoissonLadders {
+  PoissonLadders(const tune::TunedConfig& config, int n)
+      : ops(poisson_hierarchy(n)) {
+    if (tune::config_uses_rap(config, level_of_size(n))) {
+      rap = grid::StencilHierarchy(grid::StencilOp::poisson(n),
+                                   grid::Coarsening::kRap);
+    }
+  }
+  const grid::StencilHierarchy* rap_or_null() const {
+    return rap.top_level() >= 1 ? &rap : nullptr;
+  }
+  grid::StencilHierarchy ops;
+  grid::StencilHierarchy rap;  ///< empty unless the config has RAP cells
+};
 
 /// Interior L2 error of an iterate against the instance's exact solution.
 inline double error_against_exact(const tune::TrainingInstance& inst,

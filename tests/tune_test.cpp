@@ -261,19 +261,18 @@ TEST(Trainer, ExpectedTimeIsMonotoneInAccuracy) {
 TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
   const TunedConfig& config = trained();
   // A fresh table may carry Galerkin-RAP cells (the coarsening axis is
-  // raced by default); a bare executor builds the Poisson RAP ladder for
-  // each executed top level on demand.
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+  // raced by default); each level's session binds the Poisson RAP ladder
+  // for its size when it does.
   Rng rng(990001);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
+    const SolveSession session(engine(), config, n);
     auto inst = make_training_instance(n, InputDistribution::kUnbiased, rng,
                                        sched());
     for (int i = 0; i < config.accuracy_count(); ++i) {
       Grid2D x(n, 0.0);
       x.copy_from(inst.problem.x0);
-      executor.run_v(x, inst.problem.b, i);
+      session.solve_v(x, inst.problem.b, i);
       const double achieved = accuracy_of(inst, x, sched());
       const double target = config.accuracies()[static_cast<std::size_t>(i)];
       // Allow modest slack: training measured iteration counts on its own
@@ -286,17 +285,16 @@ TEST(Trainer, TunedVMeetsAccuracyOnHeldOutInputs) {
 
 TEST(Trainer, TunedFmgMeetsAccuracyOnHeldOutInputs) {
   const TunedConfig& config = trained();
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
   Rng rng(990002);
   for (int level = 2; level <= config.max_level(); ++level) {
     const int n = size_of_level(level);
+    const SolveSession session(engine(), config, n);
     auto inst = make_training_instance(n, InputDistribution::kUnbiased, rng,
                                        sched());
     for (int i = 0; i < config.accuracy_count(); ++i) {
       Grid2D x(n, 0.0);
       x.copy_from(inst.problem.x0);
-      executor.run_fmg(x, inst.problem.b, i);
+      session.solve_fmg(x, inst.problem.b, i);
       const double achieved = accuracy_of(inst, x, sched());
       const double target = config.accuracies()[static_cast<std::size_t>(i)];
       EXPECT_GE(achieved, 0.2 * target)
@@ -322,15 +320,14 @@ TEST(Trainer, HeuristicRestrictsChoices) {
     }
   }
   // The heuristic still meets the top accuracy on held-out data.
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+  const SolveSession session(engine(), config,
+                             size_of_level(config.max_level()));
   Rng rng(990003);
-  auto inst = make_training_instance(size_of_level(config.max_level()),
-                                     InputDistribution::kUnbiased, rng,
-                                     sched());
+  auto inst = make_training_instance(session.n(), InputDistribution::kUnbiased,
+                                     rng, sched());
   Grid2D x(inst.problem.x0.n(), 0.0);
   x.copy_from(inst.problem.x0);
-  executor.run_v(x, inst.problem.b, config.accuracy_count() - 1);
+  session.solve_v(x, inst.problem.b, config.accuracy_count() - 1);
   EXPECT_GE(accuracy_of(inst, x, sched()),
             0.2 * config.accuracies().back());
 }
@@ -431,16 +428,17 @@ TEST(Executor, RunsFixedShapesIndependentOfInput) {
   Rng rng(31337);
   auto p1 = make_problem(n, InputDistribution::kUnbiased, rng);
   auto p2 = make_problem(n, InputDistribution::kBiased, rng);
+  const testing::PoissonLadders ladders(config, n);
   trace::CycleTracer t1, t2;
   {
-    TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t1);
+    TunedExecutor executor(config, engine(), ladders.ops,
+                           ladders.rap_or_null(), &t1);
     Grid2D x = p1.x0;
     executor.run_v(x, p1.b, 3);
   }
   {
-    TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &t2);
+    TunedExecutor executor(config, engine(), ladders.ops,
+                           ladders.rap_or_null(), &t2);
     Grid2D x = p2.x0;
     executor.run_v(x, p2.b, 3);
   }
@@ -454,11 +452,12 @@ TEST(Executor, RunsFixedShapesIndependentOfInput) {
 
 TEST(Executor, TraceRendersACycle) {
   const TunedConfig& config = trained();
-  trace::CycleTracer tracer;
-  TunedExecutor executor(config, sched(), engine().direct(),
-                           engine().scratch(), &tracer);
-  Rng rng(424242);
   const int n = size_of_level(config.max_level());
+  const testing::PoissonLadders ladders(config, n);
+  trace::CycleTracer tracer;
+  TunedExecutor executor(config, engine(), ladders.ops, ladders.rap_or_null(),
+                         &tracer);
+  Rng rng(424242);
   auto p = make_problem(n, InputDistribution::kUnbiased, rng);
   Grid2D x = p.x0;
   executor.run_fmg(x, p.b, config.accuracy_count() - 1);
@@ -469,15 +468,50 @@ TEST(Executor, TraceRendersACycle) {
 
 TEST(Executor, RejectsUntrainedCellsAndBadSizes) {
   TunedConfig config(paper_accuracies(), 4);  // untrained above level 1
-  TunedExecutor executor(config, sched(), engine().direct(),
-                         engine().scratch());
+  const grid::StencilHierarchy ops17(grid::StencilOp::poisson(17));
+  TunedExecutor executor(config, engine(), ops17);
   Grid2D x(17, 0.0), b(17, 0.0);
   EXPECT_THROW(executor.run_v(x, b, 0), InvalidArgument);
+  EXPECT_THROW(executor.run_fmg(x, b, 0), InvalidArgument);
   Grid2D small(3, 0.0), wrong(5, 0.0);
   EXPECT_THROW(executor.run_v(small, wrong, 0), InvalidArgument);
+  // A grid whose side differs from the bound hierarchy's n is rejected
+  // before any cell runs, even where the config has a trained cell at
+  // that size (level 1 is the direct base, trained by construction).
+  Grid2D x3(3, 0.0), b3(3, 0.0);
+  ASSERT_TRUE(config.v_entry(1, 0).trained);
+  EXPECT_THROW(executor.run_v(x3, b3, 0), InvalidArgument);
+  EXPECT_THROW(executor.run_fmg(x3, b3, 0), InvalidArgument);
+  Grid2D x33(33, 0.0), b33(33, 0.0);
+  EXPECT_THROW(executor.run_v(x33, b33, 0), InvalidArgument);
+  EXPECT_THROW(executor.run_fmg(x33, b33, 0), InvalidArgument);
   // Level above max_level:
+  const grid::StencilHierarchy ops65(grid::StencilOp::poisson(65));
+  TunedExecutor above(config, engine(), ops65);
   Grid2D huge(65, 0.0), bh(65, 0.0);
-  EXPECT_THROW(executor.run_v(huge, bh, 0), InvalidArgument);
+  EXPECT_THROW(above.run_v(huge, bh, 0), InvalidArgument);
+
+  // A RAP cell needs a bound RAP ladder: without one the executor refuses
+  // to construct, instead of failing mid-solve.
+  VEntry rap_cell;
+  rap_cell.trained = true;
+  rap_cell.choice.kind = VKind::kRecurse;
+  rap_cell.choice.sub_accuracy = kClassicalCoarse;
+  rap_cell.choice.iterations = 1;
+  rap_cell.choice.coarsening = grid::Coarsening::kRap;
+  config.v_entry(3, 0) = rap_cell;
+  EXPECT_THROW((TunedExecutor(config, engine(), ops17)), InvalidArgument);
+  const grid::StencilHierarchy rap17(grid::StencilOp::poisson(17),
+                                     grid::Coarsening::kRap);
+  EXPECT_NO_THROW((TunedExecutor(config, engine(), ops17, &rap17)));
+  // ... and that ladder must come from a fine grid of the bound size.
+  const grid::StencilHierarchy rap9(grid::StencilOp::poisson(9),
+                                    grid::Coarsening::kRap);
+  EXPECT_THROW((TunedExecutor(config, engine(), ops17, &rap9)),
+               InvalidArgument);
+  // A RAP cell above the bound level is never executed, so it needs none.
+  const grid::StencilHierarchy ops5(grid::StencilOp::poisson(5));
+  EXPECT_NO_THROW((TunedExecutor(config, engine(), ops5)));
 }
 
 TEST(Executor, CallStackRenderingsDescribeChoices) {
